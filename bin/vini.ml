@@ -61,15 +61,6 @@ let trace_arg =
   Arg.(value & opt (some trace_cats_conv) None
        & info [ "trace"; "trace-categories" ] ~docv:"CATS" ~doc)
 
-let domains_arg =
-  let doc =
-    "Run on the sharded engine with $(docv) OCaml domains.  The logical \
-     shard count is fixed, so output is byte-identical for every value \
-     (the determinism-gate CI job enforces it); omit the flag for the \
-     classic single-queue engine."
-  in
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
-
 let spans_out_arg =
   let doc =
     "Install the per-packet flight recorder and write its vini.spans/1 \
@@ -93,7 +84,7 @@ let timeline_out_arg =
     "Install the runtime profiler and write its vini.timeline/1 JSON \
      document (periodic engine/profiler/overlay snapshots on the \
      simulated clock) to $(docv).  Inspect with $(b,vini top).  \
-     Deterministic: byte-identical for every $(b,--domains) value."
+     Deterministic: byte-identical for a given $(b,--seed)."
   in
   Arg.(value & opt (some string) None
        & info [ "timeline-out" ] ~docv:"FILE" ~doc)
@@ -164,10 +155,7 @@ let print_trace_events doc =
 
 let deter_cmd =
   let run runs seconds seed trace metrics_out spans_out timeline_out
-      timeline_interval domains =
-    (match domains with
-    | Some d when d < 1 -> failwith "--domains must be at least 1"
-    | Some _ | None -> ());
+      timeline_interval =
     let net = Deter.network_tcp ~runs ~duration_s:seconds ~seed () in
     let iias = Deter.iias_tcp ~runs ~duration_s:seconds ~seed:(seed + 1000) () in
     Report.table ~title:"Table 2: TCP throughput on DETER"
@@ -208,7 +196,7 @@ let deter_cmd =
         (* A flight-recorded IIAS run: every packet's causal tree, with
            TTL-doomed probes so the artifact always has drop forensics. *)
         let doc, mbps =
-          Deter.spans_run ~duration_s:seconds ~seed:(seed + 5000) ?domains ()
+          Deter.spans_run ~duration_s:seconds ~seed:(seed + 5000) ()
         in
         Printf.printf "\nflight-recorded IIAS TCP run: %.1f Mb/s\n" mbps;
         Vini_measure.Export.write ~path doc;
@@ -217,13 +205,12 @@ let deter_cmd =
     Option.iter
       (fun path ->
         (* A self-observed IIAS run: runtime profiler installed, periodic
-           snapshots on the simulated clock.  Byte-identical across
-           --domains values (CI's timeline-smoke job cmp's it). *)
+           snapshots on the simulated clock. *)
         if timeline_interval < 1 then
           failwith "--timeline-interval must be at least 1 ms";
         let doc, mbps =
           Deter.timeline_run ~duration_s:seconds ~seed:(seed + 6000)
-            ~interval_ms:timeline_interval ?domains ()
+            ~interval_ms:timeline_interval ()
         in
         Printf.printf "\nself-observed IIAS TCP run: %.1f Mb/s\n" mbps;
         Vini_measure.Export.write ~path doc;
@@ -234,7 +221,7 @@ let deter_cmd =
   Cmd.v (Cmd.info "deter" ~doc)
     Term.(const run $ runs_arg $ seconds_arg $ seed_arg $ trace_arg
           $ metrics_out_arg $ spans_out_arg $ timeline_out_arg
-          $ timeline_interval_arg $ domains_arg)
+          $ timeline_interval_arg)
 
 (* --- planetlab -------------------------------------------------------------- *)
 
@@ -510,7 +497,7 @@ let ablate_cmd =
 
 let run_cmd =
   let run spec_file phys_name watch seed duration trace metrics_out report_out
-      spans_out timeline_out timeline_interval embed_out scenario_out domains =
+      spans_out timeline_out timeline_interval embed_out scenario_out =
     let module Engine = Vini_sim.Engine in
     let module Time = Vini_sim.Time in
     let module Graph = Vini_topo.Graph in
@@ -556,24 +543,7 @@ let run_cmd =
              sc.Vini_core.Experiment.fidelity)
           (Time.to_ms_f sc.Vini_core.Experiment.tick)
     | None -> ());
-    (* CLI --domains overrides the spec's [domains] verb; either one (even
-       a value of 1) selects the sharded engine so determinism is checked
-       sharded-vs-sharded.  No flag and no verb = classic engine. *)
-    let domains =
-      match domains with
-      | Some d when d < 1 -> failwith "--domains must be at least 1"
-      | Some _ as d -> d
-      | None ->
-          let sd = spec.Vini_core.Experiment.domains in
-          if sd > 1 then Some sd else None
-    in
-    let shards = Option.map (fun _ -> Engine.default_logical_shards) domains in
-    let engine = Engine.create ~seed ?shards () in
-    Option.iter
-      (fun d ->
-        Printf.printf "domains %d (%d logical shards, lookahead-windowed)\n" d
-          (Engine.shards engine))
-      domains;
+    let engine = Engine.create ~seed () in
     (* The span gate needs a sink enabling the span category *and* an
        installed recorder; [--spans-out] supplies both, folding the span
        category into [--trace]'s set (or a minimal sink) as needed. *)
@@ -654,8 +624,7 @@ let run_cmd =
           wd)
         report_out
     in
-    let run_domains = Option.value domains ~default:1 in
-    Vini_core.Vini.run ~until:(Time.sec 0) ~domains:run_domains vini;
+    Vini_core.Vini.run ~until:(Time.sec 0) vini;
     let src, dst =
       match watch with
       | Some s -> (
@@ -689,8 +658,7 @@ let run_cmd =
         Vini_measure.Monitor.counter m ~name:"ping.received" (fun () ->
             float_of_int (Vini_measure.Ping.received ping)))
       monitor;
-    Vini_core.Vini.run ~until:(Time.sec (duration + 10)) ~domains:run_domains
-      vini;
+    Vini_core.Vini.run ~until:(Time.sec (duration + 10)) vini;
     Report.series
       ~title:
         (Printf.sprintf "ping %s -> %s during the experiment"
@@ -920,7 +888,7 @@ let run_cmd =
     Term.(const run $ spec_arg $ phys_arg $ watch_arg $ seed_arg $ duration_arg
           $ trace_arg $ metrics_out_arg $ report_out_arg $ spans_out_arg
           $ timeline_out_arg $ timeline_interval_arg $ embed_out_arg
-          $ scenario_out_arg $ domains_arg)
+          $ scenario_out_arg)
 
 (* --- spans ----------------------------------------------------------------------- *)
 
@@ -1336,7 +1304,7 @@ let migrate_cmd =
   let module V = Vini_core.Vini in
   let module E = Vini_measure.Export in
   let module Time = Vini_sim.Time in
-  let run seed vnodes at duration domains target crash compare_ check out =
+  let run seed vnodes at duration target crash compare_ check out =
     let kind_str (m : V.migration) =
       match m.V.m_kind with V.Planned -> "planned" | V.Crash_driven -> "crash"
     in
@@ -1393,7 +1361,7 @@ let migrate_cmd =
         0.0 r.Migration.migrations
     in
     if compare_ then begin
-      let c = Migration.compare_modes ~seed ~vnodes ~at ~duration ?domains () in
+      let c = Migration.compare_modes ~seed ~vnodes ~at ~duration () in
       print_result "planned" c.Migration.planned;
       print_newline ();
       print_result "crash" c.Migration.crash;
@@ -1420,7 +1388,7 @@ let migrate_cmd =
       end
     end
     else if crash then begin
-      let r = Migration.run ~seed ~vnodes ~crash_at:at ~duration ?domains () in
+      let r = Migration.run ~seed ~vnodes ~crash_at:at ~duration () in
       print_result "crash" r;
       write_export r;
       if check && (r.Migration.migrations = [] || total_down r <= 0.0) then begin
@@ -1431,8 +1399,8 @@ let migrate_cmd =
     end
     else begin
       let r =
-        Migration.run_planned ~seed ~vnodes ~migrate_at:at ~duration ?domains
-          ?target ()
+        Migration.run_planned ~seed ~vnodes ~migrate_at:at ~duration ?target
+          ()
       in
       print_result "planned" r;
       write_export r;
@@ -1497,14 +1465,14 @@ let migrate_cmd =
   in
   let doc =
     "Live-migrate a virtual node of a running slice, make-before-break: \
-     pre-cloned process, double-provisioned resources, atomic barrier \
+     pre-cloned process, double-provisioned resources, atomic \
      flip, drain, retire.  Prints migration-quality records (downtime, \
      cutover loss, path-stretch and balance deltas); $(b,--compare) runs \
      the planned and crash-driven scenarios side by side."
   in
   Cmd.v (Cmd.info "migrate" ~doc)
     Term.(const run $ seed_arg $ vnodes_arg $ at_arg $ duration_arg
-          $ domains_arg $ target_arg $ crash_flag $ compare_flag $ check_flag
+          $ target_arg $ crash_flag $ compare_flag $ check_flag
           $ out_arg)
 
 (* --- mttr ------------------------------------------------------------------------ *)

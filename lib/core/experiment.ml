@@ -67,13 +67,12 @@ type spec = {
   ingresses : (int * Vini_net.Prefix.t) list;
   egresses : int list;
   events : event list;
-  domains : int;
   scenario : scenario option;
 }
 
 let make ~name ~slice ~vtopo ?embedding ?placement
     ?(routing = Iias.default_ospf) ?(ingresses = []) ?(egresses = [])
-    ?(events = []) ?(domains = 1) ?scenario () =
+    ?(events = []) ?scenario () =
   let placement =
     match (embedding, placement) with
     | Some _, Some _ ->
@@ -91,7 +90,6 @@ let make ~name ~slice ~vtopo ?embedding ?placement
     ingresses;
     egresses;
     events;
-    domains;
     scenario;
   }
 
@@ -185,7 +183,6 @@ let validate ?phys spec =
   List.iter
     (fun v -> if v < 0 || v >= n then err "egress node %d out of range" v)
     spec.egresses;
-  if spec.domains < 1 then err "domains must be at least 1 (got %d)" spec.domains;
   (match spec.scenario with
   | None -> ()
   | Some sc ->

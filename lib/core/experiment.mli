@@ -33,7 +33,7 @@ type action =
           drop them on checksum verification *)
   | Migrate_vnode of int * int
       (** live-migrate the virtual node to the given physical node,
-          make-before-break ([Vini.migrate ~target]): pre-clone, barrier
+          make-before-break ([Vini.migrate ~target]): pre-clone, atomic
           flip, drain, retire — zero packet loss in steady state *)
   | Custom of string * (Vini_overlay.Iias.t -> unit)
       (** named scripted action (start traffic, change rates, ...) *)
@@ -82,11 +82,6 @@ type spec = {
   ingresses : (int * Vini_net.Prefix.t) list;
   egresses : int list;
   events : event list;
-  domains : int;
-      (** requested execution parallelism (>= 1; default 1).  Any value
-          above 1 asks the runner for the sharded engine; the output is
-          byte-identical whatever the value, so [domains] is purely a
-          resource knob ([spec-lang verb [domains N]], CLI [--domains]). *)
   scenario : scenario option;
       (** background workload + fidelity; [None] = pure packet fidelity *)
 }
@@ -101,13 +96,12 @@ val make :
   ?ingresses:(int * Vini_net.Prefix.t) list ->
   ?egresses:int list ->
   ?events:event list ->
-  ?domains:int ->
   ?scenario:scenario ->
   unit ->
   spec
 (** Defaults: identity embedding (virtual node i on physical node i),
-    OSPF with the paper's timers, no ingress/egress, no events, one
-    domain, no background scenario.  [?embedding:f] is sugar for
+    OSPF with the paper's timers, no ingress/egress, no events, no
+    background scenario.  [?embedding:f] is sugar for
     [?placement:(Pinned f)].
     @raise Invalid_argument when both [embedding] and [placement] are
     given. *)

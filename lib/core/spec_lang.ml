@@ -32,7 +32,6 @@ type parsed = {
   p_ingresses : (string * Prefix.t) list;
   p_egresses : string list;
   p_events : event_decl list;
-  p_domains : int;
   p_substrate : substrate_decl option;
   p_workload : Workload.params option;
   p_fidelity : (Fluid.fidelity * Time.t) option;
@@ -91,7 +90,6 @@ type builder = {
   mutable b_ingresses : (string * Prefix.t) list;
   mutable b_egresses : string list;
   mutable b_events : event_decl list;
-  mutable b_domains : int option;
   mutable b_substrate : substrate_decl option;
   mutable b_workload : Workload.params option;
   mutable b_fidelity : (Fluid.fidelity * Time.t) option;
@@ -363,14 +361,6 @@ let feed b line =
             | Ok tick ->
                 b.b_fidelity <- Some (f, tick);
                 Ok ()))
-  | [ "domains"; n ] -> (
-      if b.b_domains <> None then Error "duplicate domains line"
-      else
-        match int_of_string_opt n with
-        | Some d when d >= 1 ->
-            b.b_domains <- Some d;
-            Ok ()
-        | Some _ | None -> Error (Printf.sprintf "bad domains count %S" n))
   | "at" :: when_ :: verb :: args -> (
       match float_of_string_opt when_ with
       | None -> Error (Printf.sprintf "bad event time %S" when_)
@@ -399,7 +389,6 @@ let parse text =
       b_ingresses = [];
       b_egresses = [];
       b_events = [];
-      b_domains = None;
       b_substrate = None;
       b_workload = None;
       b_fidelity = None;
@@ -433,7 +422,6 @@ let parse text =
                 p_ingresses = b.b_ingresses;
                 p_egresses = b.b_egresses;
                 p_events = b.b_events;
-                p_domains = Option.value b.b_domains ~default:1;
                 p_substrate = b.b_substrate;
                 p_workload = b.b_workload;
                 p_fidelity = b.b_fidelity;
@@ -650,7 +638,7 @@ let to_spec p ~phys =
       ~placement:(Experiment.Auto req) ~routing:p.p_routing
       ~ingresses:(List.map (fun (v, pool) -> (index_of v, pool)) p.p_ingresses)
       ~egresses:(List.map index_of p.p_egresses)
-      ~events:(List.rev events) ~domains:p.p_domains ?scenario ()
+      ~events:(List.rev events) ?scenario ()
   in
   let* () = Experiment.validate ~phys spec in
   Ok spec

@@ -106,15 +106,7 @@ let engine t = t.engine
 let underlay t = t.under
 let substrate t = t.substrate
 
-let run ?until ?(domains = 1) t =
-  if domains < 1 then invalid_arg "Vini.run: domains < 1";
-  (* [domains] is a resource knob, not a semantics knob: the sharded
-     engine's window schedule never consults it, so the run is
-     byte-identical at any value (the determinism-gate CI job holds us to
-     that).  Values above 1 on a non-sharded engine are accepted and
-     ignored — create the engine with ~shards to get the windowed
-     schedule. *)
-  Engine.run ?until t.engine
+let run ?until t = Engine.run ?until t.engine
 
 (* --- crash-driven re-embedding ----------------------------------------- *)
 
@@ -400,16 +392,18 @@ let rollback_move inst pv reason =
   inst.pending_moves <- List.filter (fun x -> x != pv) inst.pending_moves;
   inst.migration_failures <- inst.migration_failures @ [ (pv.pv_vnode, reason) ]
 
-(* Schedule the atomic flip at the next barrier-safe instant and the drain
-   completion after it.  The flip callback re-checks liveness: if the
-   clone, its machine, or the old process died since provisioning, the
-   move rolls back instead of flipping. *)
+(* Schedule the atomic flip [flip_delay] from now and the drain completion
+   after it.  The flip is one engine event, so every packet event before
+   it sees the old placement and every one after it the new.  The flip
+   callback re-checks liveness: if the clone, its machine, or the old
+   process died since provisioning, the move rolls back instead of
+   flipping. *)
 let flip_delay = Time.ms 10
 
 let schedule_flip inst pv ~drain =
   let t = inst.owner in
   ignore
-    (Engine.at_barrier t.engine
+    (Engine.at t.engine
        (Time.add (Engine.now t.engine) flip_delay)
        (fun () ->
          if is_deployed inst && List.memq pv inst.pending_moves then
@@ -560,7 +554,7 @@ let start inst =
         inst.ispec.Experiment.events
     then Iias.enable_supervision inst.overlay;
     (* A declared scenario with flow or hybrid fidelity brings up the
-       fluid background-load model on the shared underlay.  Its barrier
+       fluid background-load model on the shared underlay.  Its
        tick starts now, so the background ramps with the experiment. *)
     (match inst.ispec.Experiment.scenario with
     | Some { Experiment.workload; fidelity; tick }

@@ -56,14 +56,11 @@ val create :
 val engine : t -> Vini_sim.Engine.t
 val underlay : t -> Vini_phys.Underlay.t
 
-val run : ?until:Vini_sim.Time.t -> ?domains:int -> t -> unit
+val run : ?until:Vini_sim.Time.t -> t -> unit
 (** Advance the whole deployment ({!Vini_sim.Engine.run} on the owned
-    engine).  [domains] (default 1, must be >= 1) requests execution
-    parallelism; it never changes the schedule — a seeded run produces
-    byte-identical reports and span exports at [~domains:1] and
-    [~domains:N], which the [determinism-gate] CI job enforces.  Sharding
-    itself is fixed when the engine is created
-    ({!Vini_sim.Engine.create}[ ~shards]). *)
+    engine, one domain).  A seeded run produces byte-identical reports and
+    span exports every time, which the [determinism-gate] CI job checks
+    across separate processes. *)
 
 val substrate : t -> Vini_embed.Substrate.t
 (** The shared residual-capacity account all auto-placed experiments
@@ -97,7 +94,7 @@ val start : instance -> unit
     [Iias.enable_supervision ~policy] on {!iias} before [start] to choose
     a different one (enabling twice is a no-op).  When the spec declares
     a scenario with flow or hybrid fidelity, the fluid background-load
-    model is installed on the underlay and its barrier tick starts
+    model is installed on the underlay and its tick starts
     here — see {!fluid}. *)
 
 val iias : instance -> Vini_overlay.Iias.t
@@ -149,7 +146,7 @@ val parked : instance -> int list
     [?target]), double-provisions CPU and incident-path bandwidth for the
     new placement alongside the old, pre-clones the Click process on the
     target ({!Vini_overlay.Iias.begin_migration}), flips ingress/egress
-    atomically at a barrier-safe instant, drains in-flight packets
+    atomically in one engine event, drains in-flight packets
     through the old process, then retires it and releases the old share.
     In steady state the cutover loses zero packets; the measured loss,
     path-stretch delta and substrate-balance delta are recorded in

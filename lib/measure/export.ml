@@ -88,10 +88,10 @@ let event_json (ev : Trace.event) =
     @ fields)
 
 let trace_json tr =
-  (* Sharded engines record window by window (shard-major), so ring order
-     is only per-shard chronological; a stable sort by timestamp restores
-     the global order.  On a single-queue engine the ring is already
-     time-ordered and the stable sort is the identity. *)
+  (* One engine records in time order, but a sink shared by several
+     engines in one process (vini deter's sequence of runs, each starting
+     at t=0) is only chronological per run; a stable sort by timestamp
+     merges them and is the identity on a single run's ring. *)
   let events =
     List.stable_sort
       (fun a b -> Vini_sim.Time.compare a.Trace.time b.Trace.time)

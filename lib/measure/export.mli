@@ -170,5 +170,4 @@ val scenario_document :
     load table ({!Vini_scenario.Fluid.to_json}), and — with [?under] —
     the packet side's per-plink counters (bytes serialised, background
     drops) for fluid-vs-packet comparison.  Deterministic field and row
-    order; the CI determinism gate [cmp]s this document across domain
-    counts. *)
+    order; the CI scenario-smoke job checks its conservation totals. *)

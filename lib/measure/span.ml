@@ -49,12 +49,12 @@ let root_component tree =
 
 (* -- reassembly -----------------------------------------------------------
 
-   On a single-queue engine ring records are chronological (oldest
-   retained first); a sharded engine records window by window, so order
-   is only per-shard chronological.  A single pass partitions records by
-   provenance id, then each tree's lists — and the trees themselves — are
-   stable-sorted by time, which is the identity on already-ordered
-   input and restores the global merge order otherwise. *)
+   Records from one engine are chronological (oldest retained first); a
+   recorder shared by several engines in one process (each starting at
+   t=0) is chronological only per engine.  A single pass partitions
+   records by provenance id, then each tree's lists — and the trees
+   themselves — are stable-sorted by time, which is the identity on
+   already-ordered input and merges the runs otherwise. *)
 
 let trees recorder =
   let tbl : (int, tree ref) Hashtbl.t = Hashtbl.create 1024 in

@@ -37,14 +37,12 @@ let sample_now t =
   t.rows_rev <- (Time.to_sec_f (Engine.now t.engine), row) :: t.rows_rev;
   t.nsamples <- t.nsamples + 1
 
-(* The sampling clock is the engine clock: ticks are scheduled through
-   [at_barrier] (shard 0) at fixed multiples of the interval, so the
-   snapshot instants — and therefore the whole document — are a function
-   of the seed and the logical shard count, never of wall time or domain
-   count. *)
+(* The sampling clock is the engine clock: ticks are scheduled at fixed
+   multiples of the interval, so the snapshot instants — and therefore
+   the whole document — are a function of the seed, never of wall time. *)
 let rec tick t at_time =
   ignore
-    (Engine.at_barrier t.engine at_time (fun () ->
+    (Engine.at t.engine at_time (fun () ->
          if t.running then begin
            sample_now t;
            tick t (Time.add at_time t.interval)

@@ -16,11 +16,11 @@
     value per series, in [series] order; rows are chronological and
     strictly increasing in time.
 
-    {b Determinism.}  Ticks ride the engine clock through
-    {!Vini_sim.Engine.at_barrier} — never wall clock — at fixed multiples
-    of the interval, so snapshot instants and values are a function of
-    the seed and logical shard count alone.  A timeline document is
-    byte-identical across [--domains 1/2/4] (CI-gated).  Sources must
+    {b Determinism.}  Ticks are {!Vini_sim.Engine.at} events on the
+    engine clock — never wall clock — at fixed multiples of the interval,
+    so snapshot instants and values are a function of the seed alone: a
+    timeline document is byte-identical across runs with the same seed
+    (CI-gated).  Sources must
     therefore read only deterministic quantities: host-clock data (the
     profiler's barrier waits, the engine's callback histogram) is
     excluded from the prewired watchers by design.

@@ -118,7 +118,7 @@ type vnode = {
 
 (* An in-flight make-before-break migration: the replacement process
    pre-cloned (double-provisioned) on the target machine, awaiting the
-   barrier flip. *)
+   flip. *)
 type pending_mig = {
   pm_target : int;
   pm_proc : Process.t;
@@ -913,8 +913,7 @@ let begin_migration t v ~pnode:pid =
       pm_base = 0;
     }
 
-(* The atomic flip, scheduled at a barrier-safe instant
-   ({!Vini_sim.Engine.at_barrier}).  Returns [false] — with no side
+(* The atomic flip, run as one engine event.  Returns [false] — with no side
    effects — if the clone, its machine, or the old process died since
    [begin_migration]; the caller then rolls back with
    {!abort_migration}.  On success: every tunnel encapsulation and tap

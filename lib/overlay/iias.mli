@@ -122,9 +122,8 @@ val migrate_vnode : t -> int -> pnode:int -> unit
     A {e planned} move, in contrast to the crash-driven
     {!migrate_vnode}: the replacement process is pre-cloned and
     double-provisioned on the target while the old one keeps serving
-    ({!begin_migration}); ingress and egress flip atomically at a
-    barrier-safe instant ({!commit_migration} under
-    {!Vini_sim.Engine.at_barrier}); in-flight packets drain through the
+    ({!begin_migration}); ingress and egress flip atomically in one
+    engine event ({!commit_migration}); in-flight packets drain through the
     old process from a frozen FIB; then the old process is retired and
     the deferred routing changes replay ({!finish_migration}).  In
     steady state the cutover loses zero packets.  Driven end-to-end by
@@ -147,8 +146,8 @@ val commit_migration : t -> int -> bool
     from the new machine — so the control plane migrates with its state
     and never reconverges.  [false] (and no side effects) if
     the clone, its machine, or the old process died since
-    {!begin_migration} — roll back with {!abort_migration}.  Schedule at
-    a barrier-safe instant ({!Vini_sim.Engine.at_barrier}). *)
+    {!begin_migration} — roll back with {!abort_migration}.  Run it as
+    its own engine event, so no packet observes a half-done flip. *)
 
 val finish_migration : t -> int -> int
 (** Drain complete: retire the old process (planned exit — no crash

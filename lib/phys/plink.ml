@@ -40,11 +40,6 @@ type t = {
   loss : float;
   queue_bytes : int;
   dirs : dir_state array;
-  (* Logical shard of each endpoint (a, b); delivery events are scheduled
-     on the receiving endpoint's shard so a sharded engine keeps every
-     pnode's events on its own queue.  (0, 0) on non-sharded engines. *)
-  shard_a : int;
-  shard_b : int;
   mutable up : bool;
 }
 
@@ -62,8 +57,7 @@ let fresh_dir () =
     bg_loss = 0.0;
   }
 
-let create ~engine ~rng ?(name = "plink") ?(endpoint_shards = (0, 0))
-    ~bandwidth_bps ~delay ?(loss = 0.0)
+let create ~engine ~rng ?(name = "plink") ~bandwidth_bps ~delay ?(loss = 0.0)
     ?(queue_bytes = Calibration.link_queue_bytes) () =
   if bandwidth_bps <= 0.0 then invalid_arg "Plink.create: bandwidth";
   if loss < 0.0 || loss > 1.0 then invalid_arg "Plink.create: loss";
@@ -76,8 +70,6 @@ let create ~engine ~rng ?(name = "plink") ?(endpoint_shards = (0, 0))
     loss;
     queue_bytes;
     dirs = [| fresh_dir (); fresh_dir () |];
-    shard_a = fst endpoint_shards;
-    shard_b = snd endpoint_shards;
     up = true;
   }
 
@@ -146,10 +138,8 @@ let transmit t ~dir pkt ~deliver =
         Span.Serialization ~t0:start ~t1:tx_done
     end;
     let arrival = Time.add (Time.add tx_done d.bg_delay) t.delay in
-    (* dir 0 transmits a -> b, so the arrival fires on b's shard. *)
-    let dst_shard = if dir = 0 then t.shard_b else t.shard_a in
     ignore
-      (Engine.at_shard t.engine ~shard:dst_shard arrival (fun () ->
+      (Engine.at t.engine arrival (fun () ->
            (* A failure during flight loses in-flight packets too. *)
            if t.up then begin
              d.delivered <- d.delivered + 1;

@@ -22,7 +22,6 @@ val create :
   engine:Vini_sim.Engine.t ->
   rng:Vini_std.Rng.t ->
   ?name:string ->
-  ?endpoint_shards:int * int ->
   bandwidth_bps:float ->
   delay:Vini_sim.Time.t ->
   ?loss:float ->
@@ -31,12 +30,7 @@ val create :
   t
 (** [?name] (default ["plink"]) labels this link's flight-recorder spans
     — queueing/serialisation/propagation hops and link-drop forensics
-    ({!Vini_sim.Span}).
-
-    [?endpoint_shards] (default [(0, 0)]) gives the logical shards of the
-    two endpoints on a sharded engine: direction 0 ([a -> b]) schedules
-    its arrival on [b]'s shard and direction 1 on [a]'s, making the plink
-    the cross-shard handoff edge of the conservative-window schedule. *)
+    ({!Vini_sim.Span}). *)
 
 val transmit : t -> dir:int -> Vini_net.Packet.t -> deliver:(Vini_net.Packet.t -> unit) -> unit
 (** Queue a packet on direction [dir] (0 or 1).  [deliver] fires at the
@@ -51,10 +45,10 @@ val set_background : t -> dir:int -> delay:Vini_sim.Time.t -> loss:float -> unit
     packet sees [delay] of extra queueing (cross-traffic ahead of it) and
     an extra [loss] drop probability (the chance it lands on a queue the
     background already filled).  Set by the scenario {!Vini_scenario}
-    fluid model on its coarse tick — from a barrier event, so all shards
-    observe each update coherently.  Both default to zero, in which case
-    the transmit path takes no extra RNG draw and is byte-identical to a
-    run without a fluid model.
+    fluid model on its coarse tick, an ordinary engine event, so every
+    packet transmitted after the tick sees the update.  Both default to
+    zero, in which case the transmit path takes no extra RNG draw and is
+    byte-identical to a run without a fluid model.
     @raise Invalid_argument unless [loss] is in [\[0,1\]] and [delay >= 0]. *)
 
 val background : t -> dir:int -> Vini_sim.Time.t * float

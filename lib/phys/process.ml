@@ -239,7 +239,7 @@ let create ~node ~slice ~name ?(cost_of = default_cost) ?(burst = 1) ~handler
      share of the breath instead of the whole breath.  The slices tile
      the window in service order; costs are recomputed with the same
      float operations in the same order as the budget, so the boundaries
-     are deterministic per seed and across domain counts. *)
+     are deterministic per seed. *)
   let serve_burst_spanned s n =
     match t.proc with
     | None ->

@@ -162,31 +162,11 @@ let rec create ~engine ~rng ~graph
           ~name:
             (Printf.sprintf "plink.%s-%s" (Graph.name graph l.a)
                (Graph.name graph l.b))
-          ~endpoint_shards:(Engine.shard_of engine l.a, Engine.shard_of engine l.b)
           ~bandwidth_bps:l.bandwidth_bps ~delay:l.delay ~loss:l.loss ()
       in
       Hashtbl.replace links (key l.a l.b) plink;
       Hashtbl.replace link_up (key l.a l.b) true)
     (Graph.links graph);
-  (* On a sharded engine the conservative window is the smallest plink
-     propagation delay: any cross-shard arrival then lands at or beyond
-     the window bound.  Near-zero delays (dense random topologies) are
-     floored — the clamp in [Engine.at_shard] keeps the schedule
-     deterministic, at the cost of a bounded skew on sub-floor links. *)
-  if Engine.is_sharded engine then begin
-    let floor = Time.us 50 in
-    let min_delay =
-      List.fold_left
-        (fun acc (l : Graph.link) ->
-          match acc with
-          | None -> Some l.Graph.delay
-          | Some d -> Some (Time.min d l.Graph.delay))
-        None (Graph.links graph)
-    in
-    match min_delay with
-    | Some d -> Engine.set_lookahead engine (Time.max d floor)
-    | None -> ()
-  end;
   let t =
     {
       engine;
@@ -258,12 +238,10 @@ and arrive t nid pkt =
 
 and originate t node pkt =
   if Addr.equal pkt.Packet.dst (Pnode.addr node) then begin
-    (* Loopback: deliver promptly, no NIC traversal.  Pinned to the
-       node's own shard so loopback traffic never migrates off it. *)
+    (* Loopback: deliver promptly, no NIC traversal. *)
     let engine = Pnode.engine node in
-    let shard = Engine.shard_of engine (Pnode.id node) in
     ignore
-      (Engine.at_shard engine ~shard
+      (Engine.at engine
          (Time.add (Engine.now engine) (Time.us 5))
          (fun () -> Ipstack.deliver (Pnode.stack node) pkt))
   end

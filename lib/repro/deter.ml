@@ -22,17 +22,8 @@ type ping_result = {
   p_loss_pct : float;
 }
 
-(* [domains]: any requested parallelism (1 included) selects the sharded
-   engine with its fixed logical shard count, so the CI determinism gate
-   compares sharded runs against sharded runs; omitted = classic engine. *)
-let make_underlay ?domains ~seed () =
-  (match domains with
-  | Some d when d < 1 -> invalid_arg "Deter: domains < 1"
-  | Some _ | None -> ());
-  let shards =
-    Option.map (fun _ -> Engine.default_logical_shards) domains
-  in
-  let engine = Engine.create ~seed ?shards () in
+let make_underlay ~seed () =
+  let engine = Engine.create ~seed () in
   let graph = Datasets.Deter.topology () in
   let underlay =
     Underlay.create ~engine
@@ -41,8 +32,8 @@ let make_underlay ?domains ~seed () =
   in
   (engine, underlay)
 
-let make_overlay ?domains ~seed () =
-  let engine, underlay = make_underlay ?domains ~seed () in
+let make_overlay ~seed () =
+  let engine, underlay = make_underlay ~seed () in
   let slice = Slice.pl_vini "iias" in
   let iias =
     Iias.create ~underlay ~slice
@@ -207,9 +198,8 @@ module Mspan = Vini_measure.Span
 
 (* A quarter of the recorder's default ring: plenty for the traffic
    window's trees while keeping the JSON artifact CI-friendly. *)
-let spans_run ?(duration_s = 2) ?(seed = 7001) ?(span_capacity = 65_536)
-    ?domains () =
-  let engine, _underlay, iias = make_overlay ?domains ~seed () in
+let spans_run ?(duration_s = 2) ?(seed = 7001) ?(span_capacity = 65_536) () =
+  let engine, _underlay, iias = make_overlay ~seed () in
   (* A sink enabling the [span] category plus an installed recorder opens
      the double gate; installing both before convergence means even
      routing-protocol chatter gets causal trees. *)
@@ -337,9 +327,8 @@ let dp_loop engine ~until =
   ignore (Engine.after engine (Time.ms 50) breath);
   (pool, ring)
 
-let timeline_run ?(duration_s = 2) ?(seed = 7001) ?(interval_ms = 200)
-    ?domains () =
-  let engine, _underlay, iias = make_overlay ?domains ~seed () in
+let timeline_run ?(duration_s = 2) ?(seed = 7001) ?(interval_ms = 200) () =
+  let engine, _underlay, iias = make_overlay ~seed () in
   let profile = Profile.create () in
   Profile.install profile;
   let timeline =

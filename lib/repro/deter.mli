@@ -43,7 +43,6 @@ val spans_run :
   ?duration_s:int ->
   ?seed:int ->
   ?span_capacity:int ->
-  ?domains:int ->
   unit ->
   Vini_measure.Export.json * float
 (** The flight-recorder run: same IIAS TCP scenario with a span recorder
@@ -51,17 +50,13 @@ val spans_run :
     deliberately TTL-doomed probes all leave causal trees).  Returns the
     [vini.spans/1] document (with embedded Chrome [traceEvents] and a
     nested [metrics] document) and the measured throughput in Mb/s.
-
-    [domains] (>= 1): run on the sharded engine with the fixed logical
-    shard count.  The document is byte-identical for every [domains]
-    value (the determinism-gate CI job hashes it at 1, 2 and 4); omitting
-    the argument uses the classic single-queue engine. *)
+    The document is byte-identical for a given seed (the
+    determinism-gate CI job runs it twice and compares). *)
 
 val timeline_run :
   ?duration_s:int ->
   ?seed:int ->
   ?interval_ms:int ->
-  ?domains:int ->
   unit ->
   Vini_measure.Export.json * float
 (** The self-observability run: the IIAS TCP scenario with the runtime
@@ -72,7 +67,4 @@ val timeline_run :
     breath loop riding the same engine so pool occupancy, ring depth and
     breath utilization series carry real data.  Returns the
     [vini.timeline/1] document and the measured throughput in Mb/s.
-
-    [domains] behaves exactly as in {!spans_run}; the document is
-    byte-identical across [domains] values (CI's [timeline-smoke] job
-    [cmp]s it at 1, 2 and 4). *)
+    Like {!spans_run}'s, the document is a function of the seed alone. *)

@@ -58,18 +58,11 @@ let export_of_migration (m : Vini.migration) =
 
 (* Shared scaffolding of both scenarios: the virtual ring auto-placed on
    Abilene, 30 s of routing warmup, then pings across the ring while the
-   disruption (a crash or a planned move) plays out.  [domains]: any
-   requested parallelism selects the sharded engine with the fixed
-   logical shard count, so the export is byte-identical for every
-   value. *)
-let scenario ?domains ~seed ~vnodes ~algo ~events ~disrupt ~duration () =
-  (match domains with
-  | Some d when d < 1 -> invalid_arg "Migration: domains < 1"
-  | Some _ | None -> ());
-  let shards = Option.map (fun _ -> Engine.default_logical_shards) domains in
+   disruption (a crash or a planned move) plays out. *)
+let scenario ~seed ~vnodes ~algo ~events ~disrupt ~duration () =
   let g = Vini_rcc.Rcc.abilene () in
   let vtopo = virtual_ring vnodes in
-  let engine = Engine.create ~seed ?shards () in
+  let engine = Engine.create ~seed () in
   let profile _ = Underlay.planetlab_profile ~speed_ghz:2.0 in
   let vini = Vini.create ~engine ~graph:g ~profile () in
   let req =
@@ -131,14 +124,14 @@ let scenario ?domains ~seed ~vnodes ~algo ~events ~disrupt ~duration () =
   }
 
 let run ?(seed = 4242) ?(vnodes = 6) ?(crash_at = 10.0) ?(duration = 40.0)
-    ?(algo = Request.Greedy) ?domains () =
-  scenario ?domains ~seed ~vnodes ~algo
+    ?(algo = Request.Greedy) () =
+  scenario ~seed ~vnodes ~algo
     ~events:[ Experiment.at (warmup_s +. crash_at) (Experiment.Crash_pnode 0) ]
     ~disrupt:(fun ~engine:_ ~vini:_ ~inst:_ -> ())
     ~duration ()
 
 let run_planned ?(seed = 4242) ?(vnodes = 6) ?(migrate_at = 10.0)
-    ?(duration = 40.0) ?(algo = Request.Greedy) ?domains ?target () =
+    ?(duration = 40.0) ?(algo = Request.Greedy) ?target () =
   let disrupt ~engine ~vini ~inst =
     ignore
       (Engine.at engine
@@ -167,7 +160,7 @@ let run_planned ?(seed = 4242) ?(vnodes = 6) ?(migrate_at = 10.0)
            in
            ignore (Vini.migrate ~target inst ~vnode:0)))
   in
-  scenario ?domains ~seed ~vnodes ~algo ~events:[] ~disrupt ~duration ()
+  scenario ~seed ~vnodes ~algo ~events:[] ~disrupt ~duration ()
 
 (* --- planned vs. crash-driven ------------------------------------------- *)
 
@@ -194,11 +187,9 @@ let total_cutover_loss r =
     0 r.migrations
 
 let compare_modes ?(seed = 4242) ?(vnodes = 6) ?(at = 10.0)
-    ?(duration = 40.0) ?domains () =
-  let planned =
-    run_planned ~seed ~vnodes ~migrate_at:at ~duration ?domains ()
-  in
-  let crash = run ~seed ~vnodes ~crash_at:at ~duration ?domains () in
+    ?(duration = 40.0) () =
+  let planned = run_planned ~seed ~vnodes ~migrate_at:at ~duration () in
+  let crash = run ~seed ~vnodes ~crash_at:at ~duration () in
   {
     planned;
     crash;

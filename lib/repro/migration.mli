@@ -12,16 +12,15 @@
       downtime.
     - {!run_planned} — {b make-before-break}: the same displacement as a
       planned live migration ({!Vini_core.Vini.migrate}): pre-cloned
-      process, double-provisioned resources, atomic barrier flip, drain,
+      process, double-provisioned resources, atomic flip, drain,
       retire.  Downtime is zero and the recorded cutover loss is zero in
       steady state.
 
     Each returns the run's [vini.embed/1] export (mapping, substrate
     stress, acceptance, migration records) verbatim — two runs with the
-    same seed produce byte-identical documents whatever [domains] is,
-    which is exactly what the determinism tests and the [migration-smoke]
-    CI job assert.  {!compare_modes} runs both on the same seed for the
-    planned-vs-crash table ([vini migrate --compare]). *)
+    same seed produce byte-identical documents, which is what the
+    determinism tests assert.  {!compare_modes} runs both on the same
+    seed for the planned-vs-crash table ([vini migrate --compare]). *)
 
 type result = {
   placement_before : int array;  (** vnode -> pnode at deploy *)
@@ -53,14 +52,12 @@ val run :
   ?crash_at:float ->
   ?duration:float ->
   ?algo:Vini_embed.Request.algo ->
-  ?domains:int ->
   unit ->
   result
 (** Crash-driven scenario.  Defaults: seed 4242, 6 virtual nodes, crash
     10 s into a 40 s measurement window (after 30 s of routing warmup),
     greedy solver.  The crashed machine is whichever one hosts virtual
-    node 0.  [domains] (>= 1): run on the sharded engine with the fixed
-    logical shard count; the export is byte-identical for every value. *)
+    node 0. *)
 
 val run_planned :
   ?seed:int ->
@@ -68,7 +65,6 @@ val run_planned :
   ?migrate_at:float ->
   ?duration:float ->
   ?algo:Vini_embed.Request.algo ->
-  ?domains:int ->
   ?target:int ->
   unit ->
   result
@@ -92,7 +88,6 @@ val compare_modes :
   ?vnodes:int ->
   ?at:float ->
   ?duration:float ->
-  ?domains:int ->
   unit ->
   comparison
 (** Run both scenarios with identical seed/topology/timing and derive

@@ -209,7 +209,7 @@ let install ~under cfg =
   in
   if cfg.fidelity <> Packet then begin
     Underlay.subscribe under (fun _ -> Hashtbl.reset t.paths);
-    Engine.every_barrier (Underlay.engine under) cfg.tick (fun () ->
+    Engine.every (Underlay.engine under) cfg.tick (fun () ->
         if not t.stopped then begin
           fold t;
           t.ticks <- t.ticks + 1

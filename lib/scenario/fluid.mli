@@ -17,13 +17,14 @@
     conserved exactly: [offered = drained + dropped + backlog] at all
     times (see the QCheck property).
 
-    The tick runs as an {!Vini_sim.Engine.every_barrier} event: shard 0,
-    first in its conservative window, so all shards observe each fold
-    coherently and the schedule stays a function of the seed — never the
-    domain count.  Under {!Hybrid} fidelity the per-link queue delay and
-    loss pressure are pushed into the packet path via
-    {!Vini_phys.Plink.set_background}; under {!Flow} the model only
-    accounts (useful for pure capacity studies); {!Packet} disables it. *)
+    The tick is an unjittered {!Vini_sim.Engine.every} event on the
+    experiment's engine, so each fold lands at a fixed multiple of the
+    tick and every packet event after it sees the new pressure; the
+    schedule is a function of the seed alone.  Under {!Hybrid} fidelity
+    the per-link queue delay and loss pressure are pushed into the packet
+    path via {!Vini_phys.Plink.set_background}; under {!Flow} the model
+    only accounts (useful for pure capacity studies); {!Packet} disables
+    it. *)
 
 type fidelity = Packet | Flow | Hybrid
 
@@ -62,7 +63,7 @@ type t
 
 val install :
   under:Vini_phys.Underlay.t -> config -> t
-(** Create the model and schedule its recurring barrier tick on the
+(** Create the model and schedule its recurring tick on the
     underlay's engine, starting one tick from now.  Routing follows the
     underlay's current next-hop tables; path caches are invalidated on
     underlay topology upcalls, so chaos events redirect background load

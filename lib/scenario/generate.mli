@@ -3,7 +3,7 @@
     Three generator families produce {!Vini_topo.Graph.t} substrates far
     larger than the built-in datasets, deterministically: the same
     [(kind, seed)] pair yields a byte-identical graph (and byte-identical
-    [vini.topo/1] JSON) on every host, OCaml version, and domain count.
+    [vini.topo/1] JSON) on every host and OCaml version.
 
     - {b Waxman}: the classic random geometric model — nodes uniform on a
       continental square, edge probability decaying exponentially with

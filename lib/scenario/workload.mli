@@ -7,7 +7,7 @@
     nothing until pulled and is never materialised.
 
     Everything derives from [(params, seed)]: pulling N flows gives the
-    same N flows on every host and domain count.  Users attach to
+    same N flows on every host.  Users attach to
     substrate nodes by a seeded popularity skew (a few PoPs serve many
     opt-in users, most serve few), and each flow's wire cost includes
     OpenVPN encapsulation via {!Vini_overlay.Openvpn.wire_bytes}. *)

@@ -203,7 +203,7 @@ let run ?until t =
     | None -> ()
   in
   (* Profiler scaffolding, allocated only when a profile is installed:
-     the static plink floor and a scratch array for per-window
+     the static lookahead floor and a scratch array for per-window
      events-fired deltas. *)
   if !Profile.gate then begin
     let fl = ref max_time in

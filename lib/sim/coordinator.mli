@@ -27,7 +27,7 @@
       run is byte-identical at any domain count.
 
     Determinism therefore depends only on: fixed shard count, per-shard
-    seeded RNG streams, calendar (time, seq) order, and barrier drains in
+    seeded RNG streams, event-queue (time, seq) order, and barrier drains in
     (shard id, seq) order — all independent of physical parallelism. *)
 
 type t

@@ -11,47 +11,22 @@ type handle = {
 let dummy_handle =
   { time = Time.zero; callback = ignore; state = Cancelled; live = ref 0 }
 
-(* Sharded mode: the event space is partitioned over a fixed number of
-   logical shards, each with its own calendar queue and clock, executed in
-   conservative windows of one lookahead.  The window schedule is a pure
-   function of the seed and the shard count — never of how many domains
-   the host happens to run — which is what makes a seeded run
-   byte-identical at --domains 1/2/N.  Experiment callbacks freely share
-   state (tables, traces, supervisors), so windows here execute shards
-   serially in ascending shard id; the truly parallel path for
-   shard-confined workloads is {!Coordinator}. *)
-type shard_q = {
-  squeue : handle Vini_std.Eventq.t;
-  mutable sclock : Time.t;
-}
-
-type sharding = {
-  nshards : int;
-  sh : shard_q array;
-  mutable current : int; (* affinity: where [at] schedules *)
-  mutable lookahead : Time.t; (* window width; see [set_lookahead] *)
-  mutable queued : int; (* total queue length, cancelled entries included *)
-}
-
 type t = {
   mutable clock : Time.t;
   queue : handle Vini_std.Eventq.t;
   live : int ref; (* scheduled, not yet fired or cancelled *)
   root_rng : Vini_std.Rng.t;
-  sharding : sharding option;
   mutable cancelled_count : int;
   mutable fired : int;
   mutable inlined : int;
   (* Breath coalescing ({!at_inline}): inclusive bound up to which a
      tail-scheduled event may execute immediately instead of through the
-     calendar.  Maintained by the run loops (the run's [until] limit, and
-     in sharded mode the current conservative window's bound); -1 outside
-     a run loop, which disables inlining since times are >= 0. *)
+     queue.  Maintained by the run loop (the run's [until] limit); -1
+     outside a run loop, which disables inlining since times are >= 0. *)
   mutable inline_until : Time.t;
-  mutable inline_enabled : bool;
   (* Inline chains nest on the OCaml stack (each coalesced event is a
      nested call); cap the depth so a long back-to-back burst falls back
-     to the calendar once per [max_inline_depth] events instead of
+     to the queue once per [max_inline_depth] events instead of
      overflowing the stack. *)
   mutable inline_depth : int;
   mutable max_pending : int;
@@ -64,38 +39,17 @@ type t = {
   callback_hist : Vini_std.Histogram.t;
 }
 
-let default_logical_shards = 8
-let default_lookahead = Time.us 500
-
-let create ?(seed = 42) ?shards () =
-  let sharding =
-    match shards with
-    | None -> None
-    | Some n ->
-        if n < 1 then invalid_arg "Engine.create: shards < 1";
-        Some
-          {
-            nshards = n;
-            sh =
-              Array.init n (fun _ ->
-                  { squeue = Vini_std.Eventq.create ~dummy:dummy_handle (); sclock = Time.zero });
-            current = 0;
-            lookahead = default_lookahead;
-            queued = 0;
-          }
-  in
+let create ?(seed = 42) () =
   let t =
     {
       clock = Time.zero;
       queue = Vini_std.Eventq.create ~dummy:dummy_handle ();
       live = ref 0;
       root_rng = Vini_std.Rng.create seed;
-      sharding;
       cancelled_count = 0;
       fired = 0;
       inlined = 0;
       inline_until = -1;
-      inline_enabled = true;
       inline_depth = 0;
       max_pending = 0;
       profiling = false;
@@ -103,128 +57,39 @@ let create ?(seed = 42) ?shards () =
       callback_hist = Vini_std.Histogram.create ();
     }
   in
-  Trace.set_clock (fun () ->
-      match t.sharding with
-      | None -> t.clock
-      | Some s -> s.sh.(s.current).sclock);
+  Trace.set_clock (fun () -> t.clock);
   t
 
-let now t =
-  match t.sharding with
-  | None -> t.clock
-  | Some s -> s.sh.(s.current).sclock
-
+let now t = t.clock
 let rng t = t.root_rng
-
-let shards t = match t.sharding with None -> 1 | Some s -> s.nshards
-let is_sharded t = t.sharding <> None
-
-let shard_of t key =
-  match t.sharding with
-  | None -> 0
-  | Some s ->
-      let k = if key < 0 then -key else key in
-      k mod s.nshards
-
-let current_shard t = match t.sharding with None -> 0 | Some s -> s.current
-
-let set_lookahead t l =
-  match t.sharding with
-  | None -> ()
-  | Some s ->
-      if Time.compare l Time.zero <= 0 then
-        invalid_arg "Engine.set_lookahead: lookahead must be positive";
-      s.lookahead <- l
-
-let lookahead t =
-  match t.sharding with None -> Time.zero | Some s -> s.lookahead
 
 (* Cancelled handles stay queued (lazy delete) until popped; when they
    outnumber the live events, sweep them out so a cancel-heavy workload
-   (retransmission timers, failure detectors) cannot bloat the queue.
-   Sharded mode keeps one global [queued]/live balance and sweeps every
-   shard queue at once, so cross-shard cancellations (an event scheduled
-   on shard A, cancelled from shard B's callback) are reclaimed too. *)
+   (retransmission timers, failure detectors) cannot bloat the queue. *)
 let compact_threshold = 64
 
 let maybe_compact t =
-  match t.sharding with
-  | None ->
-      let len = Vini_std.Eventq.length t.queue in
-      if len > compact_threshold && len - !(t.live) > !(t.live) then
-        t.cancelled_count <-
-          t.cancelled_count
-          + Vini_std.Eventq.compact t.queue ~dead:(fun h ->
-                h.state = Cancelled)
-  | Some s ->
-      if s.queued > compact_threshold && s.queued - !(t.live) > !(t.live) then
-        Array.iter
-          (fun q ->
-            let removed =
-              Vini_std.Eventq.compact q.squeue ~dead:(fun h ->
-                  h.state = Cancelled)
-            in
-            t.cancelled_count <- t.cancelled_count + removed;
-            s.queued <- s.queued - removed)
-          s.sh
-
-let profile_horizon t time clock =
-  if t.profiling then
-    Vini_std.Histogram.add t.horizon_hist (Time.to_sec_f (Time.sub time clock))
-
-let at_shard t ~shard time callback =
-  match t.sharding with
-  | None ->
-      if shard <> 0 then invalid_arg "Engine.at_shard: engine is not sharded";
-      let time = Time.max time t.clock in
-      let h = { time; callback; state = Pending; live = t.live } in
-      Vini_std.Eventq.push t.queue ~key:time h;
-      incr t.live;
-      let depth = Vini_std.Eventq.length t.queue in
-      if depth > t.max_pending then t.max_pending <- depth;
-      profile_horizon t time t.clock;
-      maybe_compact t;
-      h
-  | Some s ->
-      if shard < 0 || shard >= s.nshards then
-        invalid_arg "Engine.at_shard: shard out of range";
-      let q = s.sh.(shard) in
-      (* Profiler: a cross-shard post is a scheduling handoff between
-         shards (what a plink delivery does).  One gate load + test when
-         profiling is off. *)
-      if !Profile.gate && shard <> s.current then
-        Profile.note_cross_post ~src:s.current;
-      (* Clamp to the destination clock: inside a window the destination
-         may have advanced past the requested arrival.  With the
-         lookahead at or below every cross-shard latency this never
-         triggers (arrival >= sender clock + lookahead >= window bound);
-         when a latency sits under the lookahead floor the clamp is a
-         deterministic, bounded skew.  See DESIGN.md §13. *)
-      let time = Time.max time q.sclock in
-      let h = { time; callback; state = Pending; live = t.live } in
-      Vini_std.Eventq.push q.squeue ~key:time h;
-      incr t.live;
-      s.queued <- s.queued + 1;
-      if s.queued > t.max_pending then t.max_pending <- s.queued;
-      profile_horizon t time q.sclock;
-      maybe_compact t;
-      h
+  let len = Vini_std.Eventq.length t.queue in
+  if len > compact_threshold && len - !(t.live) > !(t.live) then
+    t.cancelled_count <-
+      t.cancelled_count
+      + Vini_std.Eventq.compact t.queue ~dead:(fun h -> h.state = Cancelled)
 
 let at t time callback =
-  match t.sharding with
-  | None -> at_shard t ~shard:0 time callback
-  | Some s -> at_shard t ~shard:s.current time callback
+  let time = Time.max time t.clock in
+  let h = { time; callback; state = Pending; live = t.live } in
+  Vini_std.Eventq.push t.queue ~key:time h;
+  incr t.live;
+  let depth = Vini_std.Eventq.length t.queue in
+  if depth > t.max_pending then t.max_pending <- depth;
+  if t.profiling then
+    Vini_std.Histogram.add t.horizon_hist
+      (Time.to_sec_f (Time.sub time t.clock));
+  maybe_compact t;
+  h
 
-(* Shard 0 executes first inside every conservative window, so an event
-   scheduled here is observed by all shards' events at or after its own
-   window.  Visibility can lead other shards' earlier in-window events by
-   at most one lookahead — which is at most the minimum cross-shard
-   latency, i.e. inside the interval a signal between shards would need
-   anyway.  That makes this the safe point for mutations (like a
-   migration placement flip) that every shard reads. *)
-let at_barrier t time callback = at_shard t ~shard:0 time callback
-
-let after t delta callback = at t (Time.add (now t) (Time.max delta Time.zero)) callback
+let after t delta callback =
+  at t (Time.add t.clock (Time.max delta Time.zero)) callback
 
 (* Breath coalescing.  An event scheduled at [time] from the tail of the
    currently-executing callback fires *next* — immediately after this
@@ -232,10 +97,10 @@ let after t delta callback = at t (Time.add (now t) (Time.max delta Time.zero)) 
    will keep going, [time <= inline_until], and (b) [time] is strictly
    below every queued key (an equal key has an older seq and drains
    first).  When both hold, running the callback here, with the clock
-   advanced to [time], is indistinguishable from the calendar route: same
+   advanced to [time], is indistinguishable from the queue route: same
    order, same clocks, same RNG draws, same [events_fired].  This is what
    lets a burst of back-to-back packets traverse CPU service and kernel
-   hops as one calendar event (a Snabb-style "breath") while staying
+   hops as one queued event (a Snabb-style "breath") while staying
    byte-identical to the one-event-per-packet schedule.
 
    Only legal in tail position: any work the caller does after [at_inline]
@@ -243,47 +108,26 @@ let after t delta callback = at t (Time.add (now t) (Time.max delta Time.zero)) 
    profiling so the per-event histograms keep their meaning. *)
 let max_inline_depth = 192
 
-let rec at_inline t time callback =
-  match t.sharding with
-  | None ->
-      let time = Time.max time t.clock in
-      if
-        t.inline_enabled && (not t.profiling)
-        && t.inline_depth < max_inline_depth
-        && Time.( <= ) time t.inline_until
-        && time < Vini_std.Eventq.min_key t.queue
-      then begin
-        t.clock <- time;
-        t.fired <- t.fired + 1;
-        t.inlined <- t.inlined + 1;
-        t.inline_depth <- t.inline_depth + 1;
-        callback ();
-        t.inline_depth <- t.inline_depth - 1
-      end
-      else ignore (at t time callback)
-  | Some s ->
-      let q = s.sh.(s.current) in
-      let time = Time.max time q.sclock in
-      if
-        t.inline_enabled && (not t.profiling)
-        && t.inline_depth < max_inline_depth
-        && Time.( <= ) time t.inline_until
-        && time < Vini_std.Eventq.min_key q.squeue
-      then begin
-        q.sclock <- time;
-        t.fired <- t.fired + 1;
-        t.inlined <- t.inlined + 1;
-        t.inline_depth <- t.inline_depth + 1;
-        callback ();
-        t.inline_depth <- t.inline_depth - 1
-      end
-      else ignore (at t time callback)
+let at_inline t time callback =
+  let time = Time.max time t.clock in
+  if
+    (not t.profiling)
+    && t.inline_depth < max_inline_depth
+    && Time.( <= ) time t.inline_until
+    && time < Vini_std.Eventq.min_key t.queue
+  then begin
+    t.clock <- time;
+    t.fired <- t.fired + 1;
+    t.inlined <- t.inlined + 1;
+    t.inline_depth <- t.inline_depth + 1;
+    callback ();
+    t.inline_depth <- t.inline_depth - 1
+  end
+  else ignore (at t time callback)
 
-and after_inline t delta callback =
-  at_inline t (Time.add (now t) (Time.max delta Time.zero)) callback
+let after_inline t delta callback =
+  at_inline t (Time.add t.clock (Time.max delta Time.zero)) callback
 
-let set_inline t on = t.inline_enabled <- on
-let inline_enabled t = t.inline_enabled
 let events_inlined t = t.inlined
 
 let cancel h =
@@ -296,7 +140,7 @@ let cancel h =
 let is_cancelled h = h.state = Cancelled
 
 let rec every t ?start ?jitter period f =
-  let base = match start with Some s -> s | None -> Time.add (now t) period in
+  let base = match start with Some s -> s | None -> Time.add t.clock period in
   let fire_at =
     match jitter with
     | None -> base
@@ -309,25 +153,10 @@ let rec every t ?start ?jitter period f =
          if f () then
            every t ~start:(Time.add fire_at period) ?jitter period f))
 
-(* A recurring barrier tick: like [every] but each firing lands on
-   shard 0 at the head of its conservative window, so a coarse periodic
-   mutation that all shards read (the fluid background-load fold) has the
-   same cross-shard visibility guarantee as a one-shot [at_barrier].  No
-   jitter on purpose — barrier ticks exist to be phase-stable so exported
-   per-tick series align across runs and domain counts. *)
-let rec every_barrier t ?start period f =
-  let fire_at =
-    match start with Some s -> s | None -> Time.add (now t) period
-  in
-  ignore
-    (at_barrier t fire_at (fun () ->
-         if f () then
-           every_barrier t ~start:(Time.add fire_at period) period f))
-
-(* Two fire paths rather than one taking a clock-setting closure: the
-   closure would be allocated per event, and this runs a million times a
-   second. *)
-let run_callback t h =
+let fire t h =
+  h.state <- Fired;
+  decr t.live;
+  t.clock <- Time.max t.clock h.time;
   t.fired <- t.fired + 1;
   if t.profiling then begin
     let t0 = Sys.time () in
@@ -336,65 +165,20 @@ let run_callback t h =
   end
   else h.callback ()
 
-let fire_legacy t h =
-  h.state <- Fired;
-  decr t.live;
-  t.clock <- Time.max t.clock h.time;
-  run_callback t h
-
-let fire_shard t (q : shard_q) h =
-  h.state <- Fired;
-  decr t.live;
-  q.sclock <- Time.max q.sclock h.time;
-  run_callback t h
-
 let step t =
-  match t.sharding with
-  | None -> (
-      match Vini_std.Eventq.pop t.queue with
-      | None -> false
-      | Some h -> (
-          match h.state with
-          | Cancelled ->
-              t.cancelled_count <- t.cancelled_count + 1;
-              true
-          | Fired -> assert false
-          | Pending ->
-              fire_legacy t h;
-              true))
-  | Some s -> (
-      (* Global earliest event with (time, shard id) tie-break, so a
-         sharded single-step drains in a deterministic total order. *)
-      let best = ref None in
-      Array.iteri
-        (fun i q ->
-          match Vini_std.Eventq.peek q.squeue with
-          | None -> ()
-          | Some h -> (
-              match !best with
-              | None -> best := Some (i, h)
-              | Some (_, bh) ->
-                  if Time.compare h.time bh.time < 0 then best := Some (i, h)))
-        s.sh;
-      match !best with
-      | None -> false
-      | Some (i, _) -> (
-          s.current <- i;
-          let q = s.sh.(i) in
-          match Vini_std.Eventq.pop q.squeue with
-          | None -> assert false
-          | Some h -> (
-              s.queued <- s.queued - 1;
-              match h.state with
-              | Cancelled ->
-                  t.cancelled_count <- t.cancelled_count + 1;
-                  true
-              | Fired -> assert false
-              | Pending ->
-                  fire_shard t q h;
-                  true)))
+  match Vini_std.Eventq.pop t.queue with
+  | None -> false
+  | Some h -> (
+      match h.state with
+      | Cancelled ->
+          t.cancelled_count <- t.cancelled_count + 1;
+          true
+      | Fired -> assert false
+      | Pending ->
+          fire t h;
+          true)
 
-let run_legacy ?until t =
+let run ?until t =
   t.inline_depth <- 0;
   t.inline_until <-
     (match until with Some l -> l | None -> Time.max_value);
@@ -413,93 +197,6 @@ let run_legacy ?until t =
   match until with
   | Some limit when Time.compare limit t.clock > 0 -> t.clock <- limit
   | Some _ | None -> ()
-
-(* Windowed drain: each pass executes, shard by shard in ascending id,
-   every event in [tmin, tmin + lookahead).  Because the plink lookahead
-   is the minimum cross-shard latency, an event fired in the window can
-   only schedule into another shard at or beyond the window bound, so the
-   pass order between shards is invisible to the result — and the window
-   structure itself depends only on event times, never on domain count. *)
-let run_sharded ?until t s =
-  t.inline_depth <- 0;
-  let tmin () =
-    let best = ref max_int in
-    Array.iter
-      (fun q ->
-        let k = Vini_std.Eventq.min_key q.squeue in
-        if k < !best then best := k)
-      s.sh;
-    if !best = max_int then None else Some !best
-  in
-  let width = Time.max s.lookahead (Time.ns 1) in
-  if !Profile.gate then Profile.note_floor ~width_s:(Time.to_sec_f width);
-  let rec windows () =
-    match tmin () with
-    | None -> ()
-    | Some tm
-      when match until with
-           | Some u -> Time.compare tm u > 0
-           | None -> false ->
-        ()
-    | Some tm ->
-        let bound =
-          let b = Time.add tm width in
-          if Time.compare b tm < 0 then Time.max_value else b
-        in
-        (* Inline bound for this window: strictly inside the window (an
-           event at the bound belongs to a later window) and within the
-           run limit. *)
-        t.inline_until <-
-          (let b = Time.sub bound (Time.ns 1) in
-           match until with Some u -> Time.min b u | None -> b);
-        let wfired = t.fired in
-        for i = 0 to s.nshards - 1 do
-          s.current <- i;
-          let q = s.sh.(i) in
-          (* Profiler: per-window, per-shard notes (queue depth before the
-             drain, events fired by the drain).  Gate-checked once per
-             shard per window — nothing on the per-event path. *)
-          if !Profile.gate then
-            Profile.note_queue_depth ~shard:i
-              (Vini_std.Eventq.length q.squeue);
-          let sfired = t.fired in
-          let continue () =
-            (* [min_key] = the head's time for every in-range key; an
-               empty queue reports [max_int], which fails [k < bound]. *)
-            let k = Vini_std.Eventq.min_key q.squeue in
-            k < bound
-            && (match until with None -> true | Some u -> k <= u)
-          in
-          while continue () do
-            match Vini_std.Eventq.pop q.squeue with
-            | None -> assert false
-            | Some h -> (
-                s.queued <- s.queued - 1;
-                match h.state with
-                | Cancelled -> t.cancelled_count <- t.cancelled_count + 1
-                | Fired -> assert false
-                | Pending -> fire_shard t q h)
-          done;
-          if !Profile.gate then
-            Profile.note_shard_events ~shard:i (t.fired - sfired)
-        done;
-        if !Profile.gate then
-          Profile.note_window ~width_s:(Time.to_sec_f width)
-            ~events:(t.fired - wfired);
-        windows ()
-  in
-  windows ();
-  t.inline_until <- -1;
-  (match until with
-  | Some u ->
-      Array.iter (fun q -> if Time.compare u q.sclock > 0 then q.sclock <- u) s.sh
-  | None -> ());
-  s.current <- 0
-
-let run ?until t =
-  match t.sharding with
-  | None -> run_legacy ?until t
-  | Some s -> run_sharded ?until t s
 
 let pending t = !(t.live)
 let events_fired t = t.fired

@@ -1,11 +1,14 @@
-(** The discrete-event simulation engine.
+(** The discrete-event simulation engine every experiment runs on.
 
-    A single-threaded event loop over a hole-based binary min-heap
-    ({!Vini_std.Eventq}) of timestamped callbacks.  Everything in the
-    repository — links, CPU schedulers, routing timers, TCP
-    retransmissions — is expressed as events on one engine, so an entire
-    VINI deployment (physical substrate plus every slice) advances on one
-    logical clock.
+    One event queue ({!Vini_std.Eventq}, a hole-based binary min-heap of
+    timestamped callbacks) and one clock, driven by one OCaml domain.
+    Links, CPU schedulers, routing timers, TCP retransmissions, the fluid
+    background model and the measurement samplers are all events on the
+    same engine, so an entire VINI deployment — physical substrate plus
+    every slice — advances on one logical clock, and a seed fixes the
+    whole run.  Parallel execution lives elsewhere: {!Shard} and
+    {!Coordinator} run shard-confined workloads on several domains, and
+    no experiment uses them (DESIGN.md §13).
 
     {b Complexity.}  {!at}/{!after} and {!step} are O(log pending);
     the queue's O(1) [min_key] feeds the {!at_inline} fast path, which
@@ -26,83 +29,26 @@ type t
 type handle
 (** A scheduled event; may be cancelled before it fires. *)
 
-val create : ?seed:int -> ?shards:int -> unit -> t
-(** [seed] (default 42) initialises the root RNG from which subsystems
-    {!Vini_std.Rng.split} their own streams.
-
-    [shards] switches the engine into {e sharded mode}: the event space is
-    partitioned over that many logical shards, each with its own calendar
-    queue and clock, and {!run} drains them in conservative windows one
-    {!lookahead} wide.  The window schedule is a pure function of the seed
-    and the shard count — physical domain count is never consulted — so a
-    seeded sharded run produces byte-identical output however many domains
-    the host offers.  Experiment callbacks share state across shards
-    (routing tables, the trace sink, supervisors), so sharded windows here
-    execute serially in ascending shard id; {!Coordinator} is the truly
-    parallel runtime for shard-confined workloads.  Omitting [shards]
-    keeps the classic single-queue engine, bit-identical to previous
-    releases. *)
-
-val default_logical_shards : int
-(** The fixed logical shard count used by [--domains] runs (8): constant
-    so that output does not depend on the machine's core count. *)
-
-val shards : t -> int
-(** Logical shard count; 1 for a non-sharded engine. *)
-
-val is_sharded : t -> bool
-
-val shard_of : t -> int -> int
-(** [shard_of t key] maps a stable integer key (e.g. a pnode index) to its
-    shard, [key mod shards]; always 0 on a non-sharded engine. *)
-
-val current_shard : t -> int
-(** The shard whose callback is currently executing (scheduling affinity
-    of {!at}); 0 outside callbacks and on non-sharded engines. *)
-
-val at_shard : t -> shard:int -> Time.t -> (unit -> unit) -> handle
-(** Schedule on an explicit shard — the cross-shard handoff used by plinks
-    to deliver a packet at its destination pnode's shard.  The time is
-    clamped to the destination shard's clock (a deterministic, bounded
-    skew possible only for latencies below the lookahead; see DESIGN.md
-    §13).  On a non-sharded engine only [~shard:0] is valid. *)
-
-val at_barrier : t -> Time.t -> (unit -> unit) -> handle
-(** Barrier-safe scheduling for mutations every shard reads (e.g. a live
-    migration's placement flip).  The callback runs on shard 0, which
-    executes first inside every conservative window: all events in the
-    window containing the flip and every later window observe it, and the
-    only events that can precede it while carrying the old state are other
-    shards' events from {e earlier} windows — a lead bounded by one
-    lookahead, itself at most the minimum cross-shard latency.  A packet
-    already in flight across shards therefore cannot distinguish the flip
-    from a true global barrier at the window boundary.  On a non-sharded
-    engine this is exactly {!at}. *)
-
-val set_lookahead : t -> Time.t -> unit
-(** Set the conservative window width; the underlay sets it to the minimum
-    plink propagation delay (floored).  Must be positive.  No-op on a
-    non-sharded engine. *)
-
-val lookahead : t -> Time.t
-(** Current window width; {!Time.zero} on a non-sharded engine. *)
+val create : ?seed:int -> unit -> t
+(** A fresh engine at time zero with an empty queue.  [seed] (default 42)
+    initialises the root RNG from which subsystems {!Vini_std.Rng.split}
+    their own streams.  The engine also becomes the {!Trace} clock. *)
 
 val now : t -> Time.t
 val rng : t -> Vini_std.Rng.t
 
 val at : t -> Time.t -> (unit -> unit) -> handle
 (** Schedule at an absolute time (>= now, else it fires immediately at the
-    current time).  O(1) amortized. *)
+    current time).  O(log pending). *)
 
 val after : t -> Time.t -> (unit -> unit) -> handle
 (** Schedule at [now + delta]; negative deltas clamp to now. *)
 
 val at_inline : t -> Time.t -> (unit -> unit) -> unit
 (** Breath coalescing: like {!at}, but when the requested time is provably
-    {e next} in the global event order — at or before the run limit (and,
-    in sharded mode, strictly inside the current conservative window) and
-    strictly earlier than every queued event — the callback executes
-    immediately with the clock advanced, skipping the calendar entirely.
+    {e next} in the event order — at or before the run limit and strictly
+    earlier than every queued event — the callback executes immediately
+    with the clock advanced, skipping the queue entirely.
     Otherwise it degrades to {!at}.
 
     The inline execution is indistinguishable from the scheduled one:
@@ -110,7 +56,7 @@ val at_inline : t -> Time.t -> (unit -> unit) -> unit
     {!events_fired} count — a seeded run is byte-identical whether
     coalescing triggers or not (asserted by tests and the CI determinism
     gate).  What changes is cost: a burst of back-to-back packets flows
-    through CPU-service and kernel hops as one calendar event, the way a
+    through CPU-service and kernel hops as one queued event, the way a
     Snabb breath pushes a whole batch through an app graph.
 
     {b Tail position only.}  The caller must invoke this as the last
@@ -119,18 +65,11 @@ val at_inline : t -> Time.t -> (unit -> unit) -> unit
     the call would otherwise be reordered {e after} the event.  There is
     no handle — an inline-eligible event cannot be cancelled.
 
-    Inlining is disabled under {!set_profiling} (so per-event histograms
-    keep their meaning) and by {!set_inline}[ t false] (the benchmark
-    baseline). *)
+    Inlining is disabled under {!set_profiling}, so per-event histograms
+    keep their meaning. *)
 
 val after_inline : t -> Time.t -> (unit -> unit) -> unit
 (** [at_inline] at [now + delta]; negative deltas clamp to now. *)
-
-val set_inline : t -> bool -> unit
-(** Enable/disable breath coalescing (default on).  Purely a performance
-    knob: runs are byte-identical either way. *)
-
-val inline_enabled : t -> bool
 
 val events_inlined : t -> int
 (** How many fired events were coalesced inline (subset of
@@ -149,14 +88,6 @@ val every : t -> ?start:Time.t -> ?jitter:Time.t -> Time.t ->
     period from now) and re-schedules while [f] returns [true].  Each firing
     is offset by a uniform random amount in [\[0, jitter\]] (default none) to
     avoid phase-locked protocol timers. *)
-
-val every_barrier : t -> ?start:Time.t -> Time.t -> (unit -> bool) -> unit
-(** [every_barrier t ~start period f] is {!every} with {!at_barrier}
-    placement: each firing runs on shard 0 first in its conservative
-    window, so periodic mutations that every shard reads (the scenario
-    fluid model's background-load fold) are race-free by construction.
-    Never jittered — barrier ticks stay phase-stable so per-tick exports
-    are byte-identical across domain counts. *)
 
 val run : ?until:Time.t -> t -> unit
 (** Drain events in timestamp order.  With [until], stops once the next

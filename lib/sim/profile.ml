@@ -7,14 +7,13 @@
    instrumented hot path pays one load + test when profiling is off.
    Unlike [Engine.set_profiling], installing a profile never changes the
    event schedule — it only records — so a seeded run is byte-identical
-   with the profiler on or off, and across domain counts (the CI
-   determinism gate checks the latter).
+   with the profiler on or off.
 
-   Threading: notes are designed for the serial sharded engine and the
-   coordinator's lane 0.  Worker-domain calls (Shard.post under a
-   multi-domain Coordinator) touch only per-source-shard slots, except
-   the per-destination mailbox watermark, which is monotone and tolerant
-   of a lost update; histograms are only ever fed from lane 0. *)
+   Threading: notes are designed for the coordinator's lane 0.
+   Worker-domain calls (Shard.post under a multi-domain Coordinator)
+   touch only per-source-shard slots, except the per-destination mailbox
+   watermark, which is monotone and tolerant of a lost update;
+   histograms are only ever fed from lane 0. *)
 
 module Histogram = Vini_std.Histogram
 
@@ -51,7 +50,7 @@ let class_name id =
 let max_stack = 64
 
 type t = {
-  (* engine/shard telemetry (all deterministic, sim-time) *)
+  (* shard telemetry (all deterministic, sim-time) *)
   mutable windows : int;
   window_hist : Histogram.t; (* granted window width, simulated seconds *)
   events_per_window : Histogram.t;
@@ -144,7 +143,7 @@ let ensure_class p id =
   if id >= Array.length p.cls_packets then
     p.cls_packets <- grow_int p.cls_packets (id + 1)
 
-(* ---- engine/shard notes (callers check [gate] first) ------------------- *)
+(* ---- shard notes (callers check [gate] first) -------------------------- *)
 
 let note_window ~width_s ~events =
   match !installed with

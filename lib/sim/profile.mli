@@ -3,10 +3,11 @@
     A {!t} collects two families of telemetry while installed:
 
     {ul
-    {- {b Engine/shard}: conservative-window count and width, events per
+    {- {b Shard}: conservative-window count and width, events per
        window, per-shard events fired, cross-shard posts, event-queue and
-       mailbox high-watermarks — fed by {!Engine}, {!Shard} and
-       {!Coordinator} — plus lane-0 barrier wait time (host clock,
+       mailbox high-watermarks — fed by {!Shard} and {!Coordinator}, the
+       parallel runtime; experiments on the single-queue {!Engine} leave
+       them at zero — plus lane-0 barrier wait time (host clock,
        export-only).}
     {- {b Element attribution}: packets and sim-time CPU cost per Click
        element class, aggregated into collapsed root-to-leaf paths that
@@ -18,13 +19,14 @@
     off — nothing else.  Installing a profile never schedules events,
     draws random numbers, or changes costs the engine accounts for, so
     the event schedule (and every byte-compared export) is identical
-    with the profiler on or off, and across domain counts.
+    with the profiler on or off.
 
     {b Determinism.}  Every quantity except {!barrier_wait_hist} is
     derived from simulated time and event counts and is therefore
-    byte-identical across hosts and [--domains] values.  Barrier wait is
-    wall-clock by nature; it is exposed for [vini.metrics/1]-style
-    documents and must never enter a byte-compared artifact.
+    byte-identical across hosts and {!Coordinator} domain counts.
+    Barrier wait is wall-clock by nature; it is exposed for
+    [vini.metrics/1]-style documents and must never enter a
+    byte-compared artifact.
 
     {b Threading.}  Notes are single-threaded except under a
     multi-domain {!Coordinator}, where {!note_cross_post} writes only
@@ -64,7 +66,7 @@ val class_id : string -> int
 val class_name : int -> string
 (** Inverse of {!class_id}; raises [Invalid_argument] on an unknown id. *)
 
-(** {2 Engine/shard notes}
+(** {2 Shard notes}
 
     All [note_*] functions are cheap no-ops when no profile is
     installed, but callers on hot paths must still check {!gate} first
@@ -75,8 +77,9 @@ val note_window : width_s:float -> events:int -> unit
     seconds and the events fired inside it. *)
 
 val note_floor : width_s:float -> unit
-(** Record the static lookahead floor (minimum plink propagation delay)
-    the granted windows are measured against. *)
+(** Record the static lookahead floor (the smallest channel latency of
+    the coordinator's lookahead matrix) the granted windows are measured
+    against. *)
 
 val note_shard_events : shard:int -> int -> unit
 val note_cross_post : src:int -> unit

@@ -1,7 +1,8 @@
 (** One shard of the sharded discrete-event runtime.
 
-    A shard owns a {!Vini_std.Calendar} event queue, a clock, a seeded RNG
-    stream and one bounded outbox ({!Vini_std.Mailbox}) per peer shard.
+    A shard owns a {!Vini_std.Eventq} event queue (the same binary
+    min-heap as {!Engine}), a clock, a seeded RNG stream and one bounded
+    outbox ({!Vini_std.Mailbox}) per peer shard.
     Shards never touch each other's state directly: the only cross-shard
     channel is {!post}, whose messages are delivered by the
     {!Coordinator} at window barriers, in (source shard id, push order)
@@ -49,7 +50,7 @@ val rng : t -> Vini_std.Rng.t
 
 val at : t -> Time.t -> (unit -> unit) -> handle
 (** Schedule on this shard at an absolute time (>= now, else clamped to
-    now).  O(1) amortized. *)
+    now).  O(log pending). *)
 
 val after : t -> Time.t -> (unit -> unit) -> handle
 (** Schedule at [now + delta]; negative deltas clamp to now. *)

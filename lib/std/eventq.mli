@@ -10,7 +10,7 @@
     {!min_key} — probed on every breath-coalescing decision and run-loop
     iteration — is a single array load instead of a window scan.
 
-    Not thread-safe; one queue per engine shard. *)
+    Not thread-safe; one queue per engine or shard. *)
 
 type 'a t
 

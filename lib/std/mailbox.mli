@@ -1,6 +1,7 @@
 (** Bounded single-producer/single-consumer message ring.
 
-    The cross-shard handoff channel of the sharded engine: each shard owns
+    The cross-shard handoff channel of the sharded runtime
+    ([Vini_sim.Shard] + [Vini_sim.Coordinator]): each shard owns
     one outbox per peer, fills it while executing a window, and the
     coordinator drains every outbox at the barrier in deterministic
     (source shard id, push order) sequence.  The ring itself is plain

@@ -410,14 +410,16 @@ let test_watchdog_suppresses_during_migration () =
   check Alcotest.int "aware watchdog stays silent mid-cutover" 0 during;
   check Alcotest.int "and has nothing to report once drained" 0 after
 
-(* --- determinism across domains ------------------------------------------ *)
+(* --- determinism per seed ------------------------------------------------ *)
 
-let test_planned_export_identical_across_domains () =
-  let doc d =
+let test_planned_export_identical_per_seed () =
+  let doc seed =
     Vini_measure.Export.to_string
-      (Migration.run_planned ~seed:4242 ~duration:15.0 ~domains:d ()).Migration.export
+      (Migration.run_planned ~seed ~duration:15.0 ()).Migration.export
   in
-  check Alcotest.string "domains 1 = domains 2" (doc 1) (doc 2)
+  let first = doc 4242 in
+  check Alcotest.string "same seed, same bytes" first (doc 4242);
+  check Alcotest.bool "seed + 1 differs" true (first <> doc 4243)
 
 (* --- planned vs crash, property-style ------------------------------------ *)
 
@@ -467,7 +469,7 @@ let suite =
       test_watchdog_false_positives_without_awareness;
     Alcotest.test_case "watchdog suppresses during migration" `Quick
       test_watchdog_suppresses_during_migration;
-    Alcotest.test_case "planned export identical across domains" `Quick
-      test_planned_export_identical_across_domains;
+    Alcotest.test_case "planned export identical per seed" `Quick
+      test_planned_export_identical_per_seed;
     QCheck_alcotest.to_alcotest prop_planned_lossless_crash_has_downtime;
   ]

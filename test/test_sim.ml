@@ -231,7 +231,7 @@ let test_engine_pending_counts_live () =
       Engine.cancel h;
       check Alcotest.int "double cancel counted once" 100 (Engine.pending e)
   | [] -> ());
-  (* More scheduling triggers the dead-entry sweep; the count must hold. *)
+  (* Growth with half the queue dead; the count must hold. *)
   let fired = ref 0 in
   for i = 1 to 500 do
     ignore (Engine.at e (Time.ms i) (fun () -> incr fired))
@@ -240,6 +240,82 @@ let test_engine_pending_counts_live () =
   Engine.run e;
   check Alcotest.int "exactly the live ones fired" 600 (100 + !fired);
   check Alcotest.int "drained" 0 (Engine.pending e)
+
+let test_engine_lazy_delete_compaction () =
+  (* Once cancelled entries outnumber live ones, the next schedule sweeps
+     them out in bulk: each is accounted exactly once, at sweep time, and
+     the survivors still fire in order. *)
+  let e = Engine.create () in
+  let handles =
+    List.init 200 (fun i -> Engine.at e (Time.us (i + 1)) (fun () -> ()))
+  in
+  List.iteri (fun i h -> if i mod 4 <> 0 then Engine.cancel h) handles;
+  check Alcotest.int "nothing swept yet" 0 (Engine.events_cancelled e);
+  let log = ref [] in
+  ignore (Engine.at e (Time.ms 1) (fun () -> log := Engine.now e :: !log));
+  check Alcotest.int "dead entries swept" 150 (Engine.events_cancelled e);
+  check Alcotest.int "live ones kept" 51 (Engine.pending e);
+  Engine.run e;
+  check Alcotest.int "survivors fired" 51 (Engine.events_fired e);
+  check Alcotest.int "cancelled counted once" 150 (Engine.events_cancelled e);
+  check Alcotest.(list time) "last survivor last" [ Time.ms 1 ] !log
+
+let test_engine_cancel_from_callback () =
+  (* One callback schedules an event, a later one cancels it: it never
+     fires, the live count drops at cancel time, and the dead entry is
+     counted when popped. *)
+  let e = Engine.create () in
+  let fired = ref false in
+  let h = ref None in
+  ignore
+    (Engine.at e (Time.ms 1) (fun () ->
+         h := Some (Engine.at e (Time.ms 30) (fun () -> fired := true))));
+  ignore
+    (Engine.at e (Time.ms 10) (fun () ->
+         check Alcotest.int "target live" 1 (Engine.pending e);
+         Engine.cancel (Option.get !h);
+         check Alcotest.int "live count dropped" 0 (Engine.pending e)));
+  Engine.run e;
+  check Alcotest.bool "cancelled in time" false !fired;
+  check Alcotest.int "drained" 0 (Engine.pending e);
+  check Alcotest.int "popped and counted" 1 (Engine.events_cancelled e);
+  check time "clock stops at the last live event" (Time.ms 10) (Engine.now e)
+
+let test_engine_inline_schedule_neutral () =
+  (* Breath coalescing must be invisible: a tail-scheduled event runs
+     inline only when it is strictly earlier than every queued event and
+     within the run limit.  Profiling disables inlining, so the two runs
+     below take the two routes and must log the same schedule. *)
+  let workload ~profiling =
+    let e = Engine.create ~seed:5 () in
+    Engine.set_profiling e profiling;
+    let log = ref [] in
+    let note tag () = log := (tag, Engine.now e) :: !log in
+    ignore (Engine.at e (Time.us 3) (note "q3"));
+    ignore (Engine.at e (Time.us 5) (note "q5"));
+    let rec chain n () =
+      note (Printf.sprintf "c%d" n) ();
+      if n < 6 then Engine.after_inline e (Time.us 1) (chain (n + 1))
+    in
+    ignore (Engine.at e (Time.us 1) (chain 0));
+    Engine.run ~until:(Time.us 6) e;
+    (List.rev !log, Engine.events_fired e, Engine.events_inlined e,
+     Engine.pending e)
+  in
+  let expected =
+    [ ("c0", 1); ("c1", 2); ("q3", 3); ("c2", 3); ("c3", 4); ("q5", 5);
+      ("c4", 5); ("c5", 6) ]
+    |> List.map (fun (tag, us) -> (tag, Time.us us))
+  in
+  let log, fired, inlined, pending = workload ~profiling:false in
+  check Alcotest.(list (pair string time)) "inlined schedule" expected log;
+  check Alcotest.int "c1, c3 and c5 ran inline" 3 inlined;
+  let log', fired', inlined', pending' = workload ~profiling:true in
+  check Alcotest.(list (pair string time)) "queued schedule" expected log';
+  check Alcotest.int "nothing inline under profiling" 0 inlined';
+  check Alcotest.int "same fired count" fired fired';
+  check Alcotest.int "c6 beyond the limit stays queued" 1 pending;
+  check Alcotest.int "on both routes" pending pending'
 
 let test_engine_instrumentation () =
   let e = Engine.create () in
@@ -568,99 +644,6 @@ let prop_sharded_matches_single_domain_oracle =
       let oracle = run 1 in
       List.for_all (fun domains -> run domains = oracle) [ 2; 4 ])
 
-(* ---- the sharded Engine (windowed, domain-count-invariant) ------------- *)
-
-let test_engine_sharded_matches_legacy () =
-  (* Distinct timestamps: within a window the sharded engine drains shard
-     by shard, so only cross-shard ties may reorder against legacy. *)
-  let workload e =
-    let log = ref [] in
-    let note tag t = ignore (Engine.at e t (fun () -> log := (tag, Engine.now e) :: !log)) in
-    note "a" (Time.ms 3);
-    note "b" (Time.ms 1);
-    ignore
-      (Engine.at e (Time.ms 2) (fun () ->
-           ignore (Engine.after e (Time.ms 4) (fun () -> log := ("nested", Engine.now e) :: !log));
-           log := ("c", Engine.now e) :: !log));
-    Engine.run e;
-    List.rev !log
-  in
-  let legacy = workload (Engine.create ~seed:3 ()) in
-  let sharded = workload (Engine.create ~seed:3 ~shards:4 ()) in
-  check Alcotest.(list (pair string int)) "same schedule" legacy sharded
-
-let test_engine_sharded_pending_cancel_compaction () =
-  (* Satellite: the live counter and the lazy-delete sweep under
-     per-shard queues, including cross-shard cancellation. *)
-  let e = Engine.create ~shards:8 () in
-  check Alcotest.int "eight shards" 8 (Engine.shards e);
-  check Alcotest.bool "sharded" true (Engine.is_sharded e);
-  let handles =
-    List.init 200 (fun i ->
-        Engine.at_shard e ~shard:(i mod 8) (Time.us (i + 1)) (fun () -> ()))
-  in
-  check Alcotest.int "all live" 200 (Engine.pending e);
-  List.iteri (fun i h -> if i mod 2 = 0 then Engine.cancel h) handles;
-  check Alcotest.int "cancelled excluded" 100 (Engine.pending e);
-  (match handles with
-  | h :: _ ->
-      Engine.cancel h;
-      check Alcotest.int "double cancel counted once" 100 (Engine.pending e)
-  | [] -> ());
-  (* Growth past the dead-entry sweep threshold, spread over shards. *)
-  let fired = ref 0 in
-  for i = 1 to 500 do
-    ignore (Engine.at_shard e ~shard:(i mod 8) (Time.ms i) (fun () -> incr fired))
-  done;
-  check Alcotest.int "after sweep and growth" 600 (Engine.pending e);
-  Engine.run e;
-  check Alcotest.int "exactly the live ones fired" 600 (100 + !fired);
-  check Alcotest.int "drained" 0 (Engine.pending e);
-  check Alcotest.int "cancelled accounted" 100 (Engine.events_cancelled e)
-
-let test_engine_sharded_cross_shard_cancel () =
-  let e = Engine.create ~shards:4 () in
-  let fired = ref false in
-  let h = ref None in
-  (* A shard-0 callback schedules onto shard 3, then cancels it later. *)
-  ignore
-    (Engine.at_shard e ~shard:0 (Time.ms 1) (fun () ->
-         h := Some (Engine.at_shard e ~shard:3 (Time.ms 30) (fun () -> fired := true))));
-  ignore
-    (Engine.at_shard e ~shard:1 (Time.ms 10) (fun () ->
-         Engine.cancel (Option.get !h)));
-  Engine.run e;
-  check Alcotest.bool "cross-shard handle cancelled in time" false !fired;
-  check Alcotest.int "drained" 0 (Engine.pending e)
-
-let test_engine_sharded_determinism () =
-  let run () =
-    let e = Engine.create ~seed:9 ~shards:Engine.default_logical_shards () in
-    let acc = ref [] in
-    let rng = Engine.rng e in
-    for i = 1 to 60 do
-      let d = Vini_std.Rng.int rng 5000 in
-      let shard = Engine.shard_of e i in
-      ignore
-        (Engine.at_shard e ~shard (Time.us d) (fun () ->
-             acc := (Engine.now e, shard, d) :: !acc))
-    done;
-    Engine.run e;
-    List.rev !acc
-  in
-  check
-    Alcotest.(list (triple int int int))
-    "identical sharded runs" (run ()) (run ())
-
-let test_engine_sharded_until_and_lookahead () =
-  let e = Engine.create ~shards:4 () in
-  Engine.set_lookahead e (Time.us 250);
-  check time "lookahead readable" (Time.us 250) (Engine.lookahead e);
-  ignore (Engine.at_shard e ~shard:2 (Time.sec 100) (fun () -> ()));
-  Engine.run ~until:(Time.sec 10) e;
-  check time "stopped at until" (Time.sec 10) (Engine.now e);
-  check Alcotest.int "event still pending" 1 (Engine.pending e)
-
 let suite =
   [
     Alcotest.test_case "time units" `Quick test_time_units;
@@ -683,6 +666,12 @@ let suite =
     Alcotest.test_case "trace global sink" `Quick test_trace_global_sink;
     Alcotest.test_case "pending counts live events" `Quick
       test_engine_pending_counts_live;
+    Alcotest.test_case "lazy-delete compaction" `Quick
+      test_engine_lazy_delete_compaction;
+    Alcotest.test_case "cancel from a callback" `Quick
+      test_engine_cancel_from_callback;
+    Alcotest.test_case "inline coalescing is schedule-neutral" `Quick
+      test_engine_inline_schedule_neutral;
     Alcotest.test_case "engine instrumentation" `Quick
       test_engine_instrumentation;
     Alcotest.test_case "span double gate" `Quick test_span_double_gate;
@@ -701,14 +690,4 @@ let suite =
     Alcotest.test_case "coordinator domain invariance" `Quick
       test_coordinator_domain_invariance;
     QCheck_alcotest.to_alcotest prop_sharded_matches_single_domain_oracle;
-    Alcotest.test_case "sharded engine matches legacy" `Quick
-      test_engine_sharded_matches_legacy;
-    Alcotest.test_case "sharded engine pending and compaction" `Quick
-      test_engine_sharded_pending_cancel_compaction;
-    Alcotest.test_case "sharded engine cross-shard cancel" `Quick
-      test_engine_sharded_cross_shard_cancel;
-    Alcotest.test_case "sharded engine determinism" `Quick
-      test_engine_sharded_determinism;
-    Alcotest.test_case "sharded engine until and lookahead" `Quick
-      test_engine_sharded_until_and_lookahead;
   ]

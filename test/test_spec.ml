@@ -348,36 +348,14 @@ at 7 migrate b pop3
   expect_parse_error "experiment x\nnode a\nat 5 migrate a\n" "expects 2"
 
 let test_domains_verb () =
-  (* Default: a spec without the verb runs single-domain. *)
-  let p = parse_ok "experiment d\nnode a\n" in
-  (match Spec_lang.to_spec p ~phys:(phys ()) with
-  | Ok spec -> check Alcotest.int "default domains" 1 spec.Experiment.domains
-  | Error e -> Alcotest.failf "to_spec: %s" e);
-  (* Explicit count flows through to the validated spec. *)
-  let p = parse_ok "experiment d\nnode a\ndomains 4\n" in
-  (match Spec_lang.to_spec p ~phys:(phys ()) with
-  | Ok spec ->
-      check Alcotest.int "domains 4" 4 spec.Experiment.domains;
-      check Alcotest.bool "validates" true (Experiment.validate spec = Ok ())
-  | Error e -> Alcotest.failf "to_spec: %s" e);
-  (* Bad counts and duplicates are parse errors. *)
-  let fails text =
-    match Spec_lang.parse text with Ok _ -> false | Error _ -> true
-  in
-  check Alcotest.bool "domains 0 rejected" true
-    (fails "experiment d\nnode a\ndomains 0\n");
-  check Alcotest.bool "domains -2 rejected" true
-    (fails "experiment d\nnode a\ndomains -2\n");
-  check Alcotest.bool "non-numeric rejected" true
-    (fails "experiment d\nnode a\ndomains many\n");
-  check Alcotest.bool "duplicate rejected" true
-    (fails "experiment d\nnode a\ndomains 2\ndomains 4\n");
-  (* Validation rejects a hand-built spec with a bad count. *)
-  match Spec_lang.to_spec (parse_ok "experiment d\nnode a\n") ~phys:(phys ()) with
-  | Error e -> Alcotest.failf "to_spec: %s" e
-  | Ok spec ->
-      check Alcotest.bool "validate rejects domains 0" true
-        (Experiment.validate { spec with Experiment.domains = 0 } <> Ok ())
+  (* Experiments run on one single-queue engine, so [domains N] is not a
+     directive: the parser rejects it with its line number, as an error
+     value rather than an exception. *)
+  match Spec_lang.parse "experiment d\nnode a\ndomains 4\n" with
+  | Ok _ -> Alcotest.fail "domains 4 accepted"
+  | Error e ->
+      check Alcotest.string "unknown directive"
+        "line 3: unknown directive \"domains\"" e
 
 let suite =
   [

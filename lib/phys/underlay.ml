@@ -26,18 +26,23 @@ type t = {
   graph : Graph.t;
   pnodes : Pnode.t array;
   by_addr : (Addr.t, Pnode.t) Hashtbl.t;
-  links : (int * int, Plink.t) Hashtbl.t;
-  link_up : (int * int, bool) Hashtbl.t;
+  (* adj.(u) = (neighbour, plink) for every link at [u], by neighbour id.
+     A link's state is its plink's ([Plink.is_up]); [set_link_state] is
+     the only writer. *)
+  adj : (int * Plink.t) array array;
   mask_failures : bool;
-  (* prev.(src).(v) = predecessor of v on the shortest path from src *)
-  mutable prev : Graph.node_id option array array;
-  (* Per-(from, dst) forwarding cache: the next hop and its plink when a
-     usable (existing, administratively up) link leads that way, [None]
-     when the packet would blackhole.  Rebuilt by [rebuild_fwd] on every
-     route recomputation and link-state flip, so the per-packet fast path
-     is two array loads instead of a prev-chain walk plus three hashtable
-     probes.  Entries are preallocated; lookups allocate nothing. *)
-  mutable fwd : (int * Plink.t) option array array;
+  (* nh.(from).(dst) = next hop on the current shortest path from [from]
+     to [dst], or -1 when there is none ([from = dst], or unreachable).
+     Ignores link state: under exposure a route through a cut link
+     stands.  Rows are refilled in place by [recompute_routes]. *)
+  nh : int array array;
+  (* Per-(from, dst) forwarding cache: [Some (nh, plink)] when the next
+     hop exists and its link is up, [None] when the packet would
+     blackhole.  Refilled in place on every route recomputation and
+     link-state flip from [cells], one preallocated [Some] per adjacency
+     slot, so neither a refill nor a per-packet lookup allocates. *)
+  fwd : (int * Plink.t) option array array;
+  cells : (int * Plink.t) option array array;  (* Some adj.(u).(k) *)
   (* Dense addr → node-id table for the per-packet destination resolve.
      [addr_idx.(Addr.to_int a - addr_base)] is the node id, or -1 for a
      non-node address.  Built only when node addresses span a small range
@@ -49,48 +54,66 @@ type t = {
   mutable blackholed : int;
 }
 
-let key a b = (min a b, max a b)
-
 let default_addr i =
   if i < 246 then Addr.of_octets 198 32 154 (10 + i)
   else Addr.add (Addr.of_octets 198 32 155 0) (i - 246)
 
+(* Index of neighbour [v] in [adj.(u)], or -1. *)
+let slot adj u v =
+  let row = adj.(u) in
+  let rec go k =
+    if k = Array.length row then -1
+    else if fst row.(k) = v then k
+    else go (k + 1)
+  in
+  go 0
+
 let weight_when_up t l =
-  let up = try Hashtbl.find t.link_up (key l.Graph.a l.Graph.b) with Not_found -> true in
+  let a = l.Graph.a and b = l.Graph.b in
+  let up = Plink.is_up (snd t.adj.(a).(slot t.adj a b)) in
   (* A link into a crashed machine is as unusable as a cut fiber. *)
-  let ends_up = Pnode.is_up t.pnodes.(l.Graph.a) && Pnode.is_up t.pnodes.(l.Graph.b) in
+  let ends_up = Pnode.is_up t.pnodes.(a) && Pnode.is_up t.pnodes.(b) in
   if up && ends_up then l.Graph.weight else 100_000_000
 
-(* prev is rooted at [from], so the next hop towards [dst] is found by
-   walking back from [dst]. *)
-let next_hop_of_prev prev ~from ~dst =
-  if from = dst then None
-  else
-    let rec back v =
-      match prev.(v) with
-      | None -> None
-      | Some p when p = from -> Some v
-      | Some p -> back p
-    in
-    back dst
+(* Fill [row] with the next hops from [src] out of its shortest-path tree
+   [prev]: towards [v] it is [v] itself when [v]'s parent is [src], else
+   the parent's next hop.  Memoised in the row, so a row costs O(n)
+   rather than one prev-chain walk per destination.  -2 marks a
+   destination not yet resolved. *)
+let fill_row row prev src =
+  Array.fill row 0 (Array.length row) (-2);
+  row.(src) <- -1;
+  let rec resolve v =
+    let h = row.(v) in
+    if h <> -2 then h
+    else begin
+      let h =
+        match prev.(v) with
+        | None -> -1
+        | Some p -> if p = src then v else resolve p
+      in
+      row.(v) <- h;
+      h
+    end
+  in
+  for v = 0 to Array.length row - 1 do
+    ignore (resolve v)
+  done
 
 let rebuild_fwd t =
-  let n = Array.length t.pnodes in
-  t.fwd <-
-    Array.init n (fun from ->
-        Array.init n (fun dst ->
-            match next_hop_of_prev t.prev.(from) ~from ~dst with
-            | None -> None
-            | Some nh -> (
-                let k = key from nh in
-                let up =
-                  try Hashtbl.find t.link_up k with Not_found -> false
-                in
-                if not up then None
-                else
-                  match Hashtbl.find_opt t.links k with
-                  | None -> None
-                  | Some plink -> Some (nh, plink))))
+  Array.iteri
+    (fun from row ->
+      let fwd = t.fwd.(from) in
+      Array.iteri
+        (fun dst h ->
+          fwd.(dst) <-
+            (if h < 0 then None
+             else
+               match t.cells.(from).(slot t.adj from h) with
+               | Some (_, plink) as cell when Plink.is_up plink -> cell
+               | _ -> None))
+        row)
+    t.nh
 
 (* Per-packet destination resolve: a bounds check plus one array load on
    the dense path; the hashtable only serves scattered custom [addr_of]
@@ -107,11 +130,11 @@ let node_id_of_dst t a =
     | None -> -1
 
 let recompute_routes t =
-  let n = Graph.node_count t.graph in
-  t.prev <-
-    Array.init n (fun src ->
-        let _, prev = Graph.dijkstra ~weight_of:(weight_when_up t) t.graph src in
-        prev);
+  Array.iteri
+    (fun src row ->
+      let _, prev = Graph.dijkstra ~weight_of:(weight_when_up t) t.graph src in
+      fill_row row prev src)
+    t.nh;
   rebuild_fwd t
 
 let rec create ~engine ~rng ~graph
@@ -153,8 +176,7 @@ let rec create ~engine ~rng ~graph
       end
     end
   in
-  let links = Hashtbl.create 16 in
-  let link_up = Hashtbl.create 16 in
+  let adj = Array.make n [] in
   List.iter
     (fun (l : Graph.link) ->
       let plink =
@@ -164,9 +186,14 @@ let rec create ~engine ~rng ~graph
                (Graph.name graph l.b))
           ~bandwidth_bps:l.bandwidth_bps ~delay:l.delay ~loss:l.loss ()
       in
-      Hashtbl.replace links (key l.a l.b) plink;
-      Hashtbl.replace link_up (key l.a l.b) true)
+      adj.(l.a) <- (l.b, plink) :: adj.(l.a);
+      adj.(l.b) <- (l.a, plink) :: adj.(l.b))
     (Graph.links graph);
+  let adj =
+    Array.map
+      (fun l -> Array.of_list (List.sort (fun (x, _) (y, _) -> compare x y) l))
+      adj
+  in
   let t =
     {
       engine;
@@ -175,11 +202,11 @@ let rec create ~engine ~rng ~graph
       by_addr;
       addr_base;
       addr_idx;
-      links;
-      link_up;
+      adj;
       mask_failures;
-      prev = [||];
-      fwd = [||];
+      nh = Array.make_matrix n n (-1);
+      fwd = Array.make_matrix n n None;
+      cells = Array.map (Array.map (fun cell -> Some cell)) adj;
       subscribers = [];
       blackholed = 0;
     }
@@ -187,11 +214,6 @@ let rec create ~engine ~rng ~graph
   recompute_routes t;
   Array.iter (fun p -> Pnode.set_tx p (fun pkt -> originate t p pkt)) pnodes;
   t
-
-(* Routing: walk the prev-chain of the shortest-path tree rooted at the
-   destination?  No — prev is rooted at each source, so the next hop from
-   [from] towards [dst] is found by walking back from [dst]. *)
-and next_hop_id t ~from ~dst = next_hop_of_prev t.prev.(from) ~from ~dst
 
 (* [inline] is threaded from call sites that are in tail position of an
    event callback (plink arrivals, kernel-work continuations): it lets the
@@ -256,17 +278,13 @@ let addr t i = Pnode.addr t.pnodes.(i)
 let nodes t = Array.to_list t.pnodes
 
 let plink t a b =
-  match Hashtbl.find_opt t.links (key a b) with
-  | Some l -> l
-  | None -> raise Not_found
+  let k = if a >= 0 && a < Array.length t.adj then slot t.adj a b else -1 in
+  if k < 0 then raise Not_found else snd t.adj.(a).(k)
 
 let set_link_state t a b up =
-  let k = key a b in
-  if not (Hashtbl.mem t.links k) then raise Not_found;
-  let was = try Hashtbl.find t.link_up k with Not_found -> true in
-  if was <> up then begin
-    Hashtbl.replace t.link_up k up;
-    Plink.set_up (Hashtbl.find t.links k) up;
+  let plink = plink t a b in
+  if Plink.is_up plink <> up then begin
+    Plink.set_up plink up;
     (* Masking reroutes (which rebuilds the forwarding cache); without
        masking the routes stand but the cache must still see the flip. *)
     if t.mask_failures then recompute_routes t else rebuild_fwd t;
@@ -275,9 +293,7 @@ let set_link_state t a b up =
   end
 
 let link_is_up t a b =
-  match Hashtbl.find_opt t.link_up (key a b) with
-  | Some up -> up
-  | None -> false
+  match plink t a b with p -> Plink.is_up p | exception Not_found -> false
 
 let set_node_state t i up =
   let node = t.pnodes.(i) in
@@ -293,5 +309,12 @@ let set_node_state t i up =
 let node_is_up t i = Pnode.is_up t.pnodes.(i)
 
 let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
-let next_hop t ~from ~dst = next_hop_id t ~from ~dst
+
+let next_hop t ~from ~dst =
+  let h = t.nh.(from).(dst) in
+  if h < 0 then None else Some h
+
+let forward_hop t ~from ~dst =
+  match t.fwd.(from).(dst) with Some (h, _) -> h | None -> -1
+
 let blackholed t = t.blackholed

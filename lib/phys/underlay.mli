@@ -72,7 +72,19 @@ val subscribe : t -> (event -> unit) -> unit
 val next_hop :
   t -> from:Vini_topo.Graph.node_id -> dst:Vini_topo.Graph.node_id ->
   Vini_topo.Graph.node_id option
-(** Current underlay routing decision (for tests and inspection). *)
+(** Current underlay routing decision: the next hop on the shortest path
+    from [from] to [dst], [None] when [from = dst] or [dst] is
+    unreachable.  It ignores link state, so under exposure a route through
+    a cut link stands.  Reads the next-hop table, rebuilt on every reroute:
+    two array loads, plus the [Some] it allocates. *)
+
+val forward_hop :
+  t -> from:Vini_topo.Graph.node_id -> dst:Vini_topo.Graph.node_id ->
+  Vini_topo.Graph.node_id
+(** Where a packet at [from] for [dst] goes next: {!next_hop} when the
+    link to it is up, -1 when the packet would blackhole (no route, or
+    the link is down).  Reads the forwarding table the packet path uses:
+    two array loads, allocates nothing. *)
 
 val blackholed : t -> int
 (** Packets dropped for lack of a usable route. *)

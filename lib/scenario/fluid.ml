@@ -43,62 +43,59 @@ type totals = {
   backlog_bytes : float;
 }
 
-(* One fluid queue per directed substrate link.  [inflow] accumulates
-   demand routed onto the link since the last fold; the fold drains it
-   against capacity and leaves [backlog]. *)
-type dir_q = {
-  mutable backlog : float;  (* bytes queued *)
-  mutable inflow : float;  (* bytes arrived this tick *)
-  mutable last : link_load;  (* as of the last fold, for readers *)
-}
-
 let zero_load =
   { util = 0.0; queue_delay = Time.zero; loss = 0.0; offered_bps = 0.0 }
 
+(* Running link-level sums.  An all-float record is stored flat, so the
+   per-hop updates in [fold] allocate nothing. *)
+type sums = {
+  mutable offered : float;
+  mutable drained : float;
+  mutable dropped : float;
+}
+
+(* One fluid queue per directed substrate link, [2i] for link [i]'s
+   min->max direction and [2i+1] for max->min.  [inflow] accumulates
+   demand routed onto the link since the last fold; the fold drains it
+   against capacity and leaves [backlog]. *)
 type t = {
   cfg : config;
   under : Underlay.t;
   graph : Graph.t;
   stream : Workload.t;
   links : Graph.link array;  (* indexed link table, list order *)
-  qs : dir_q array;  (* 2 per link: [2i] is a->b, [2i+1] is b->a *)
-  edge_index : (int * int, int) Hashtbl.t;  (* (min, max) -> link index *)
-  paths : (int * int, int list) Hashtbl.t;  (* (src, dst) -> dir_q ids *)
+  plinks : Plink.t array;  (* by link index *)
+  backlog : float array;  (* bytes queued, by directed queue *)
+  inflow : float array;  (* bytes arrived this tick, by directed queue *)
+  last : link_load array;  (* as of the last fold, for readers *)
+  (* out.(u) = (v, directed queue u->v) for every neighbour v of u *)
+  out : (int * int) array array;
+  sums : sums;
   mutable flows : int;
-  mutable offered : float;
-  mutable drained : float;
-  mutable dropped : float;
   mutable ticks : int;
   mutable stopped : bool;
 }
 
 let dir_of u v = if u < v then 0 else 1
 
-(* Walk the underlay's next-hop tables from src to dst, returning the
-   directed-queue ids along the way.  Memoised; the cache is flushed on
-   every underlay topology upcall so chaos redirects background load the
-   same way it redirects packets. *)
-let route t src dst =
-  match Hashtbl.find_opt t.paths (src, dst) with
-  | Some p -> Some p
-  | None ->
-      let n = Graph.node_count t.graph in
-      let rec walk acc hops u =
-        if u = dst then Some (List.rev acc)
-        else if hops > n then None (* routing loop: treat as blackhole *)
-        else
-          match Underlay.next_hop t.under ~from:u ~dst with
-          | None -> None
-          | Some v -> (
-              match Hashtbl.find_opt t.edge_index (min u v, max u v) with
-              | None -> None
-              | Some li -> walk ((2 * li) + dir_of u v :: acc) (hops + 1) v)
-      in
-      let p = walk [] 0 src in
-      (match p with Some p -> Hashtbl.replace t.paths (src, dst) p | None -> ());
-      p
+(* Whether forwarding from [u] gets to [dst] within the node count; a
+   longer walk is a routing loop. *)
+let rec reaches t ~dst hops u =
+  u = dst
+  || hops <= Graph.node_count t.graph
+     &&
+     let v = Underlay.forward_hop t.under ~from:u ~dst in
+     v >= 0 && reaches t ~dst (hops + 1) v
 
-let capacity_bps t li = t.links.(li).Graph.bandwidth_bps
+(* The directed queue u->v, or -1 when u and v are not adjacent. *)
+let queue_to t u v =
+  let row = t.out.(u) in
+  let rec go k =
+    if k = Array.length row then -1
+    else if fst row.(k) = v then snd row.(k)
+    else go (k + 1)
+  in
+  go 0
 
 (* Fluid queues cap at the same drop-tail byte limit the packet path
    uses, so flow-level and packet-level congestion agree on where loss
@@ -107,69 +104,70 @@ let queue_limit = float_of_int Vini_phys.Calibration.link_queue_bytes
 
 let fold t =
   let now_bin = Engine.now (Underlay.engine t.under) in
-  (* 1. Pull every flow due by now and add its wire bytes along its
-     path.  Offered load is link-level (bytes x hops traversed), so it
+  let sums = t.sums in
+  (* 1. Pull every flow due by now and add its wire bytes along the path
+     the underlay's forwarding table gives it, the one its packets would
+     take.  Offered load is link-level (bytes x hops traversed), so it
      balances against the per-link drain/drop/backlog sums below.  A
-     blackholed flow (no route) is dropped whole at the edge. *)
+     flow that cannot reach its destination (no route, a cut link, or a
+     routing loop) is dropped whole at the edge. *)
   while Time.compare (Workload.peek_time t.stream) now_bin <= 0 do
     let f = Workload.next t.stream in
     t.flows <- t.flows + 1;
     let bytes = float_of_int f.Workload.wire_bytes in
-    match route t f.Workload.src_node f.Workload.dst_node with
-    | None ->
-        t.offered <- t.offered +. bytes;
-        t.dropped <- t.dropped +. bytes
-    | Some path ->
-        List.iter
-          (fun qi ->
-            t.offered <- t.offered +. bytes;
-            t.qs.(qi).inflow <- t.qs.(qi).inflow +. bytes)
-          path
+    let src = f.Workload.src_node and dst = f.Workload.dst_node in
+    if not (reaches t ~dst 0 src) then begin
+      sums.offered <- sums.offered +. bytes;
+      sums.dropped <- sums.dropped +. bytes
+    end
+    else begin
+      let u = ref src in
+      while !u <> dst do
+        let v = Underlay.forward_hop t.under ~from:!u ~dst in
+        let qi = queue_to t !u v in
+        sums.offered <- sums.offered +. bytes;
+        t.inflow.(qi) <- t.inflow.(qi) +. bytes;
+        u := v
+      done
+    end
   done;
   (* 2. Drain each directed link at capacity for one tick; excess over
      the queue limit is dropped.  Offered = drained + dropped + backlog
      holds exactly (all float additions, same order every run). *)
   let tick_s = Time.to_sec_f t.cfg.tick in
-  Array.iteri
-    (fun qi q ->
-      let li = qi / 2 in
-      let l = t.links.(li) in
-      let cap_bytes_s = capacity_bps t li /. 8.0 in
-      let up = Underlay.link_is_up t.under l.Graph.a l.Graph.b in
-      let arrived = q.inflow in
-      let total = q.backlog +. arrived in
-      let drained, dropped, backlog =
-        if not up then (0.0, total, 0.0)
-        else begin
-          let drained = Float.min total (cap_bytes_s *. tick_s) in
-          let rest = total -. drained in
-          let dropped = Float.max 0.0 (rest -. queue_limit) in
-          (drained, dropped, rest -. dropped)
-        end
-      in
-      q.inflow <- 0.0;
-      q.backlog <- backlog;
-      t.drained <- t.drained +. drained;
-      t.dropped <- t.dropped +. dropped;
-      let load =
-        {
-          util =
-            (if cap_bytes_s *. tick_s > 0.0 then
-               Float.min 1.0 (drained /. (cap_bytes_s *. tick_s))
-             else 0.0);
-          queue_delay = Time.of_sec_f (backlog /. cap_bytes_s);
-          loss = (if total > 0.0 then Float.min 1.0 (dropped /. total) else 0.0);
-          offered_bps = arrived *. 8.0 /. tick_s;
-        }
-      in
-      q.last <- load;
-      (* 3. Hybrid coupling: the packet path on this link sees the fluid
-         queue as added delay and loss pressure. *)
-      if t.cfg.fidelity = Hybrid && up then
-        Plink.set_background
-          (Underlay.plink t.under l.Graph.a l.Graph.b)
-          ~dir:(qi mod 2) ~delay:load.queue_delay ~loss:load.loss)
-    t.qs
+  for qi = 0 to Array.length t.inflow - 1 do
+    let li = qi / 2 in
+    let cap_bytes_s = t.links.(li).Graph.bandwidth_bps /. 8.0 in
+    let up = Plink.is_up t.plinks.(li) in
+    let arrived = t.inflow.(qi) in
+    let total = t.backlog.(qi) +. arrived in
+    let drained = if up then Float.min total (cap_bytes_s *. tick_s) else 0.0 in
+    let dropped =
+      if up then Float.max 0.0 (total -. drained -. queue_limit) else total
+    in
+    let backlog = if up then total -. drained -. dropped else 0.0 in
+    t.inflow.(qi) <- 0.0;
+    t.backlog.(qi) <- backlog;
+    sums.drained <- sums.drained +. drained;
+    sums.dropped <- sums.dropped +. dropped;
+    let load =
+      {
+        util =
+          (if cap_bytes_s *. tick_s > 0.0 then
+             Float.min 1.0 (drained /. (cap_bytes_s *. tick_s))
+           else 0.0);
+        queue_delay = Time.of_sec_f (backlog /. cap_bytes_s);
+        loss = (if total > 0.0 then Float.min 1.0 (dropped /. total) else 0.0);
+        offered_bps = arrived *. 8.0 /. tick_s;
+      }
+    in
+    t.last.(qi) <- load;
+    (* 3. Hybrid coupling: the packet path on this link sees the fluid
+       queue as added delay and loss pressure. *)
+    if t.cfg.fidelity = Hybrid && up then
+      Plink.set_background t.plinks.(li) ~dir:(qi mod 2)
+        ~delay:load.queue_delay ~loss:load.loss
+  done
 
 let install ~under cfg =
   if Time.compare cfg.tick Time.zero <= 0 then
@@ -179,13 +177,13 @@ let install ~under cfg =
   | Error e -> invalid_arg ("Fluid.install: " ^ e));
   let graph = Underlay.graph under in
   let links = Array.of_list (Graph.links graph) in
-  let edge_index = Hashtbl.create (Array.length links) in
+  let out = Array.make (Graph.node_count graph) [] in
   Array.iteri
-    (fun i l ->
-      Hashtbl.replace edge_index
-        (min l.Graph.a l.Graph.b, max l.Graph.a l.Graph.b)
-        i)
+    (fun i (l : Graph.link) ->
+      out.(l.a) <- (l.b, (2 * i) + dir_of l.a l.b) :: out.(l.a);
+      out.(l.b) <- (l.a, (2 * i) + dir_of l.b l.a) :: out.(l.b))
     links;
+  let nq = 2 * Array.length links in
   let t =
     {
       cfg;
@@ -193,47 +191,40 @@ let install ~under cfg =
       graph;
       stream = Workload.create cfg.workload ~nodes:(Graph.node_count graph);
       links;
-      qs =
-        Array.init
-          (2 * Array.length links)
-          (fun _ -> { backlog = 0.0; inflow = 0.0; last = zero_load });
-      edge_index;
-      paths = Hashtbl.create 64;
+      plinks = Array.map (fun (l : Graph.link) -> Underlay.plink under l.a l.b) links;
+      backlog = Array.make nq 0.0;
+      inflow = Array.make nq 0.0;
+      last = Array.make nq zero_load;
+      out = Array.map Array.of_list out;
+      sums = { offered = 0.0; drained = 0.0; dropped = 0.0 };
       flows = 0;
-      offered = 0.0;
-      drained = 0.0;
-      dropped = 0.0;
       ticks = 0;
       stopped = false;
     }
   in
-  if cfg.fidelity <> Packet then begin
-    Underlay.subscribe under (fun _ -> Hashtbl.reset t.paths);
+  if cfg.fidelity <> Packet then
     Engine.every (Underlay.engine under) cfg.tick (fun () ->
         if not t.stopped then begin
           fold t;
           t.ticks <- t.ticks + 1
         end;
-        not t.stopped)
-  end;
+        not t.stopped);
   t
 
 let config t = t.cfg
 
 let totals t =
-  let backlog = Array.fold_left (fun acc q -> acc +. q.backlog) 0.0 t.qs in
   {
     flows = t.flows;
-    offered_bytes = t.offered;
-    drained_bytes = t.drained;
-    dropped_bytes = t.dropped;
-    backlog_bytes = backlog;
+    offered_bytes = t.sums.offered;
+    drained_bytes = t.sums.drained;
+    dropped_bytes = t.sums.dropped;
+    backlog_bytes = Array.fold_left ( +. ) 0.0 t.backlog;
   }
 
 let link_load t ~a ~b =
-  match Hashtbl.find_opt t.edge_index (min a b, max a b) with
-  | None -> raise Not_found
-  | Some li -> t.qs.((2 * li) + dir_of a b).last
+  let qi = if a >= 0 && a < Array.length t.out then queue_to t a b else -1 in
+  if qi < 0 then raise Not_found else t.last.(qi)
 
 let ticks t = t.ticks
 
@@ -245,7 +236,8 @@ let to_json t =
          (fun li (l : Graph.link) ->
            List.map
              (fun d ->
-               let q = t.qs.((2 * li) + d) in
+               let qi = (2 * li) + d in
+               let last = t.last.(qi) in
                let u, v =
                  if d = 0 then (l.Graph.a, l.Graph.b) else (l.Graph.b, l.Graph.a)
                in
@@ -253,12 +245,11 @@ let to_json t =
                  [
                    ("from", Json.Str (Graph.name t.graph u));
                    ("to", Json.Str (Graph.name t.graph v));
-                   ("util", Json.Num q.last.util);
-                   ( "queue_delay_ms",
-                     Json.Num (Time.to_ms_f q.last.queue_delay) );
-                   ("loss", Json.Num q.last.loss);
-                   ("offered_bps", Json.Num q.last.offered_bps);
-                   ("backlog_bytes", Json.Num q.backlog);
+                   ("util", Json.Num last.util);
+                   ("queue_delay_ms", Json.Num (Time.to_ms_f last.queue_delay));
+                   ("loss", Json.Num last.loss);
+                   ("offered_bps", Json.Num last.offered_bps);
+                   ("backlog_bytes", Json.Num t.backlog.(qi));
                  ])
              [ 0; 1 ])
          (Array.to_list t.links))

@@ -11,11 +11,11 @@
     scale.
 
     Per tick, on every directed substrate link: due flows are pulled from
-    the lazy stream and routed along current underlay shortest paths;
-    their wire bytes join the link's fluid backlog; the link drains at
-    capacity; backlog beyond the queue limit is dropped.  Offered load is
-    conserved exactly: [offered = drained + dropped + backlog] at all
-    times (see the QCheck property).
+    the lazy stream and routed along the underlay's current forwarding
+    table; their wire bytes join the link's fluid backlog; the link
+    drains at capacity; backlog beyond the queue limit is dropped.
+    Offered load is conserved exactly: [offered = drained + dropped +
+    backlog] at all times (see the QCheck property).
 
     The tick is an unjittered {!Vini_sim.Engine.every} event on the
     experiment's engine, so each fold lands at a fixed multiple of the
@@ -64,10 +64,11 @@ type t
 val install :
   under:Vini_phys.Underlay.t -> config -> t
 (** Create the model and schedule its recurring tick on the
-    underlay's engine, starting one tick from now.  Routing follows the
-    underlay's current next-hop tables; path caches are invalidated on
-    underlay topology upcalls, so chaos events redirect background load
-    like they redirect packets.
+    underlay's engine, starting one tick from now.  Each fold walks
+    every due flow along the underlay's forwarding table
+    ({!Vini_phys.Underlay.forward_hop}), the one packets read, so chaos
+    events redirect background load like they redirect packets; a flow
+    that cannot reach its destination is dropped whole at the edge.
     @raise Invalid_argument if the tick is not positive or the workload
     parameters fail {!Workload.validate}.  With [fidelity = Packet] no
     tick is scheduled and the model stays inert. *)

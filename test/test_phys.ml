@@ -351,6 +351,64 @@ let test_underlay_upcalls () =
   | [ Underlay.Link_down (0, 1); Underlay.Link_up (0, 1) ] -> ()
   | _ -> Alcotest.fail "unexpected event sequence"
 
+(* The next-hop table against an oracle: the prev-chain walk over a fresh
+   [Graph.dijkstra] with the weights the underlay routes on — link and
+   end-node state when masking, the creation-time weights when not (an
+   exposed underlay never reroutes).  The forwarding table must send a
+   packet on exactly when that next hop exists and its link is up. *)
+let oracle_next_hop prev ~from ~dst =
+  let rec back v =
+    match prev.(v) with
+    | None -> None
+    | Some p when p = from -> Some v
+    | Some p -> back p
+  in
+  if from = dst then None else back dst
+
+let prop_next_hop_table =
+  QCheck.Test.make ~name:"underlay next-hop table matches prev-chain oracle"
+    ~count:60
+    QCheck.(
+      pair
+        (triple bool bool (int_range 2 30))
+        (pair (int_bound 10_000) (small_list (triple bool small_nat bool))))
+    (fun ((waxman, mask_failures, n), (seed, flips)) ->
+      let module Generate = Vini_scenario.Generate in
+      let kind = if waxman then Generate.waxman n else Generate.backbone n in
+      let graph = Generate.generate { Generate.kind; seed } in
+      let engine = Engine.create ~seed () in
+      let u = Underlay.create ~engine ~rng:(rng seed) ~graph ~mask_failures () in
+      let links = Array.of_list (Graph.links graph) in
+      List.iter
+        (fun (node, i, up) ->
+          if node then Underlay.set_node_state u (i mod n) up
+          else
+            let l = links.(i mod Array.length links) in
+            Underlay.set_link_state u l.Graph.a l.Graph.b up)
+        flips;
+      let weight_of (l : Graph.link) =
+        let up =
+          Plink.is_up (Underlay.plink u l.a l.b)
+          && Underlay.node_is_up u l.a && Underlay.node_is_up u l.b
+        in
+        if up || not mask_failures then l.weight else 100_000_000
+      in
+      List.for_all
+        (fun from ->
+          let _, prev = Graph.dijkstra ~weight_of graph from in
+          List.for_all
+            (fun dst ->
+              let want = oracle_next_hop prev ~from ~dst in
+              let fwd_want =
+                match want with
+                | Some v when Plink.is_up (Underlay.plink u from v) -> v
+                | _ -> -1
+              in
+              Underlay.next_hop u ~from ~dst = want
+              && Underlay.forward_hop u ~from ~dst = fwd_want)
+            (Graph.nodes graph))
+        (Graph.nodes graph))
+
 let test_underlay_ttl_expiry () =
   let engine = Engine.create () in
   let u = chain ~engine () in
@@ -598,6 +656,7 @@ let suite =
     Alcotest.test_case "underlay reroute (masking)" `Quick test_underlay_next_hop_and_reroute;
     Alcotest.test_case "underlay exposure blackholes" `Quick test_underlay_exposed_failure_blackholes;
     Alcotest.test_case "underlay upcalls" `Quick test_underlay_upcalls;
+    QCheck_alcotest.to_alcotest prop_next_hop_table;
     Alcotest.test_case "underlay ttl expiry" `Quick test_underlay_ttl_expiry;
     Alcotest.test_case "underlay loopback" `Quick test_underlay_loopback;
     Alcotest.test_case "htb root rate" `Quick test_htb_respects_root_rate;

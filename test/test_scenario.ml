@@ -182,7 +182,7 @@ let make_fluid ?(fidelity = Fluid.Flow) ?(users = 200_000) ~seed () =
   let fl =
     Fluid.install ~under { Fluid.fidelity; tick = Fluid.default_tick; workload }
   in
-  (engine, fl)
+  (engine, under, fl)
 
 let conserved (tot : Fluid.totals) =
   let rhs = tot.Fluid.drained_bytes +. tot.Fluid.dropped_bytes
@@ -195,7 +195,7 @@ let prop_fluid_conserves =
   QCheck.Test.make ~name:"fluid model conserves offered load" ~count:15
     QCheck.(int_bound 10_000)
     (fun seed ->
-      let engine, fl = make_fluid ~seed () in
+      let engine, _, fl = make_fluid ~seed () in
       Engine.run ~until:(Time.sec 5) engine;
       let tot = Fluid.totals fl in
       Fluid.ticks fl > 0 && tot.Fluid.flows > 0 && conserved tot)
@@ -203,12 +203,178 @@ let prop_fluid_conserves =
 let test_fluid_loss_under_overload () =
   (* 40M users at the default per-user rate offer ~16 Gb/s of background
      load; a 16-PoP backbone's 10G links must saturate, queue, and shed. *)
-  let engine, fl = make_fluid ~users:40_000_000 ~seed:5 () in
+  let engine, _, fl = make_fluid ~users:40_000_000 ~seed:5 () in
   Engine.run ~until:(Time.sec 5) engine;
   let tot = Fluid.totals fl in
   check Alcotest.bool "conservation holds under overload" true (conserved tot);
   if tot.Fluid.dropped_bytes +. tot.Fluid.backlog_bytes <= 0.0 then
     Alcotest.fail "expected queueing or loss under a 40M-user offered load"
+
+(* Whether the graph stays connected without node [node] (-1 for none)
+   and without the links [cut] selects. *)
+let connected_without graph ~node ~cut =
+  let seen = Array.make (Graph.node_count graph) false in
+  let rec visit v =
+    if v <> node && not seen.(v) then begin
+      seen.(v) <- true;
+      List.iter (fun (w, l) -> if not (cut l) then visit w) (Graph.neighbors graph v)
+    end
+  in
+  visit (if node = 0 then 1 else 0);
+  List.for_all (fun v -> v = node || seen.(v)) (Graph.nodes graph)
+
+(* The fold walks the underlay's forwarding table itself, so a cut link
+   sheds its load from the next tick and the reroute carries it.  The
+   same seed without the cut is the control: the workload stream does not
+   depend on routing, so both runs fold the same flows. *)
+let test_fluid_follows_reroute () =
+  let seed = 3 in
+  let cut_at = Time.ms 2050 and after = Time.ms 2150 in
+  let engine, under, fl = make_fluid ~seed () in
+  let c_engine, _, c_fl = make_fluid ~seed () in
+  Engine.run ~until:cut_at engine;
+  Engine.run ~until:cut_at c_engine;
+  let graph = Underlay.graph under in
+  let offered a b = (Fluid.link_load fl ~a ~b).Fluid.offered_bps in
+  (* The busiest directed link whose loss leaves the graph connected. *)
+  let survivable (l : Graph.link) =
+    connected_without graph ~node:(-1) ~cut:(fun l' -> l' == l)
+  in
+  let a, b, _ =
+    List.fold_left
+      (fun ((_, _, best) as acc) (l : Graph.link) ->
+        if not (survivable l) then acc
+        else
+          let pick =
+            if offered l.a l.b >= offered l.b l.a then (l.a, l.b) else (l.b, l.a)
+          in
+          let load = offered (fst pick) (snd pick) in
+          if load > best then (fst pick, snd pick, load) else acc)
+      (0, 0, 0.0) (Graph.links graph)
+  in
+  check Alcotest.bool "a loaded survivable link exists" true (offered a b > 0.0);
+  Underlay.set_link_state under a b false;
+  Engine.run ~until:after engine;
+  Engine.run ~until:after c_engine;
+  check (Alcotest.float 0.0) "cut link offered a->b" 0.0 (offered a b);
+  check (Alcotest.float 0.0) "cut link offered b->a" 0.0 (offered b a);
+  let detour =
+    match Underlay.next_hop under ~from:a ~dst:b with
+    | Some c when c <> b -> c
+    | _ -> Alcotest.fail "masking must route a->b around the cut"
+  in
+  let moved = offered a detour in
+  let control = (Fluid.link_load c_fl ~a ~b:detour).Fluid.offered_bps in
+  if not (moved > control) then
+    Alcotest.failf "detour %d->%d carries %.0f b/s, no more than the uncut %.0f"
+      a detour moved control;
+  check Alcotest.bool "conserved across the cut" true (conserved (Fluid.totals fl))
+
+(* Cut every link of one node: its flows can reach nothing, so each is
+   offered and dropped whole at the edge — no bytes land on any link —
+   while everyone else's flows route around it. *)
+let test_fluid_partition_drops_at_edge () =
+  let seed = 4 in
+  let cut_at = Time.ms 2050 and tick_at = Time.ms 2100 in
+  let engine, under, fl = make_fluid ~seed () in
+  let graph = Underlay.graph under in
+  let x =
+    List.find
+      (fun x ->
+        Graph.neighbors graph x <> []
+        && connected_without graph ~node:x ~cut:(fun _ -> false))
+      (Graph.nodes graph)
+  in
+  Engine.run ~until:cut_at engine;
+  List.iter (fun (v, _) -> Underlay.set_link_state under x v false)
+    (Graph.neighbors graph x);
+  let before = Fluid.totals fl in
+  Engine.run ~until:tick_at engine;
+  let after = Fluid.totals fl in
+  (* The flows that fold pulled, replayed from an identical stream. *)
+  let stream =
+    Workload.create (Workload.default ~users:200_000 ~seed:(seed + 1))
+      ~nodes:(Graph.node_count graph)
+  in
+  while Time.compare (Workload.peek_time stream) (Time.ms 2000) <= 0 do
+    ignore (Workload.next stream)
+  done;
+  let isolated = ref 0.0 in
+  while Time.compare (Workload.peek_time stream) tick_at <= 0 do
+    let f = Workload.next stream in
+    if f.Workload.src_node = x || f.Workload.dst_node = x then
+      isolated := !isolated +. float_of_int f.Workload.wire_bytes
+  done;
+  check Alcotest.bool "the node had flows this tick" true (!isolated > 0.0);
+  let tick_s = Time.to_sec_f Fluid.default_tick in
+  let on_links =
+    List.fold_left
+      (fun acc (l : Graph.link) ->
+        acc
+        +. ((Fluid.link_load fl ~a:l.a ~b:l.b).Fluid.offered_bps
+           +. (Fluid.link_load fl ~a:l.b ~b:l.a).Fluid.offered_bps)
+           *. tick_s /. 8.0)
+      0.0 (Graph.links graph)
+  in
+  List.iter
+    (fun (v, _) ->
+      check (Alcotest.float 0.0) "nothing offered out of the node" 0.0
+        (Fluid.link_load fl ~a:x ~b:v).Fluid.offered_bps;
+      check (Alcotest.float 0.0) "nothing offered into the node" 0.0
+        (Fluid.link_load fl ~a:v ~b:x).Fluid.offered_bps)
+    (Graph.neighbors graph x);
+  let at_edge = after.Fluid.offered_bytes -. before.Fluid.offered_bytes -. on_links in
+  if Float.abs (at_edge -. !isolated) > 1e-9 *. after.Fluid.offered_bytes then
+    Alcotest.failf "edge-dropped %.0f bytes, but the node's flows were %.0f"
+      at_edge !isolated;
+  if after.Fluid.dropped_bytes -. before.Fluid.dropped_bytes < at_edge *. (1.0 -. 1e-9)
+  then Alcotest.fail "edge drops must be counted as dropped";
+  check Alcotest.bool "conserved across the partition" true (conserved after)
+
+(* Fluid loss reaching packets: under the 40M-user overload the fluid
+   queues shed, and hybrid fidelity pushes that loss into the packet path
+   of a UDP stream crossing a shedding link. *)
+let test_hybrid_loss_reaches_packets () =
+  let engine, under, fl =
+    make_fluid ~fidelity:Fluid.Hybrid ~users:40_000_000 ~seed:5 ()
+  in
+  Engine.run ~until:(Time.sec 2) engine;
+  let graph = Underlay.graph under in
+  let shedding =
+    List.concat_map
+      (fun (l : Graph.link) -> [ (l.a, l.b); (l.b, l.a) ])
+      (Graph.links graph)
+    |> List.filter (fun (a, b) ->
+           (Fluid.link_load fl ~a ~b).Fluid.loss > 0.0
+           && Underlay.next_hop under ~from:a ~dst:b = Some b)
+  in
+  let a, b =
+    match shedding with
+    | p :: _ -> p
+    | [] -> Alcotest.fail "expected a shedding link under a 40M-user load"
+  in
+  let src = Underlay.node under a and dst = Underlay.node under b in
+  let got = ref 0 and sent = 500 in
+  Vini_phys.Ipstack.bind_udp (Vini_phys.Pnode.stack dst) ~port:7000 (fun _ ->
+      incr got);
+  for i = 1 to sent do
+    ignore
+      (Engine.at engine
+         (Time.add (Time.sec 2) (Time.ms (2 * i)))
+         (fun () ->
+           Vini_phys.Pnode.send src
+             (Vini_net.Packet.udp ~src:(Vini_phys.Pnode.addr src)
+                ~dst:(Vini_phys.Pnode.addr dst) ~sport:7000 ~dport:7000
+                (Vini_net.Packet.Bytes_ 200))))
+  done;
+  Engine.run ~until:(Time.sec 4) engine;
+  let stats =
+    Vini_phys.Plink.stats (Underlay.plink under a b) ~dir:(if a < b then 0 else 1)
+  in
+  if stats.Vini_phys.Plink.bg_drops = 0 then
+    Alcotest.fail "the fluid's loss pressure dropped no packet";
+  if !got >= sent then
+    Alcotest.failf "all %d datagrams arrived across a shedding link" sent
 
 (* --- spec language and Vini.start integration ---------------------------- *)
 
@@ -272,9 +438,9 @@ routing static
       check Alcotest.bool "error mentions the workload" true
         (mentions ~frag:"workload" e)
 
-let test_hybrid_installs_on_start () =
+let deploy_scenario ~seed text =
   let p =
-    match Spec_lang.parse scenario_spec with
+    match Spec_lang.parse text with
     | Ok p -> p
     | Error e -> Alcotest.failf "parse: %s" e
   in
@@ -288,9 +454,12 @@ let test_hybrid_installs_on_start () =
     | Ok s -> s
     | Error e -> Alcotest.failf "to_spec: %s" e
   in
-  let engine = Engine.create ~seed:2 () in
+  let engine = Engine.create ~seed () in
   let vini = Vini.create ~engine ~graph:phys () in
-  let inst = Vini.deploy vini spec in
+  (p, phys, vini, Vini.deploy vini spec)
+
+let test_hybrid_installs_on_start () =
+  let _, _, vini, inst = deploy_scenario ~seed:2 scenario_spec in
   check Alcotest.bool "no fluid before start" true (Vini.fluid inst = None);
   Vini.start inst;
   let fl =
@@ -300,16 +469,32 @@ let test_hybrid_installs_on_start () =
   in
   Vini.run ~until:(Time.sec 3) vini;
   check Alcotest.bool "ticks advanced" true (Fluid.ticks fl > 0);
-  check Alcotest.bool "conserved" true (conserved (Fluid.totals fl));
-  (* The scenario document for this run serialises deterministically. *)
-  let doc () =
-    Vini_measure.Export.to_string
-      (Vini_measure.Export.scenario_document ~fluid:fl
-         ~under:(Vini.underlay vini) ~substrate:phys
-         ~workload:(Option.get (Spec_lang.workload p))
-         ())
+  check Alcotest.bool "conserved" true (conserved (Fluid.totals fl))
+
+(* A run is a function of its seed: two runs of one seed in one process,
+   through a mid-run machine crash and reboot, write the same scenario
+   document byte for byte — so no state leaks from one run into the
+   next — and the next seed writes another. *)
+let scenario_document ~seed =
+  let text =
+    scenario_spec ^ "ingress a pool 10.8.0.0/24\negress c\n"
+    ^ "at 2 crash-node b\nat 4 restore-node b\n"
   in
-  check Alcotest.string "export is stable" (doc ()) (doc ())
+  let p, phys, vini, inst = deploy_scenario ~seed text in
+  Vini.start inst;
+  Vini.run ~until:(Time.sec 6) vini;
+  Vini_measure.Export.to_string
+    (Vini_measure.Export.scenario_document ?fluid:(Vini.fluid inst)
+       ~under:(Vini.underlay vini) ~substrate:phys
+       ~workload:(Option.get (Spec_lang.workload p))
+       ())
+
+let test_scenario_document_is_seeded () =
+  let first = scenario_document ~seed:1 in
+  check Alcotest.string "same seed, same document" first
+    (scenario_document ~seed:1);
+  check Alcotest.bool "next seed, another document" false
+    (String.equal first (scenario_document ~seed:2))
 
 let test_openvpn_wire_bytes () =
   let module O = Vini_overlay.Openvpn in
@@ -337,12 +522,20 @@ let suite =
     QCheck_alcotest.to_alcotest prop_fluid_conserves;
     Alcotest.test_case "overload queues and sheds, conserving bytes" `Quick
       test_fluid_loss_under_overload;
+    Alcotest.test_case "fluid load follows a reroute" `Quick
+      test_fluid_follows_reroute;
+    Alcotest.test_case "a partitioned node's flows drop at the edge" `Quick
+      test_fluid_partition_drops_at_edge;
+    Alcotest.test_case "hybrid fluid loss reaches packets" `Quick
+      test_hybrid_loss_reaches_packets;
     Alcotest.test_case "spec verbs parse and resolve" `Quick
       test_spec_verbs_parse;
     Alcotest.test_case "fidelity without workload is rejected" `Quick
       test_spec_fidelity_requires_workload;
     Alcotest.test_case "Vini.start installs hybrid fluid model" `Quick
       test_hybrid_installs_on_start;
+    Alcotest.test_case "scenario document is a function of the seed" `Quick
+      test_scenario_document_is_seeded;
     Alcotest.test_case "openvpn wire cost models encapsulation" `Quick
       test_openvpn_wire_bytes;
   ]

@@ -46,6 +46,20 @@ val unsafe_set : t -> int -> Vini_net.Packet.t -> unit
     the batched fast paths in this library.  Out-of-range access is
     undefined behaviour; prefer {!get}/{!set} everywhere else. *)
 
+val bytes : t -> int
+(** Summed {!Vini_net.Packet.size} of the packets in [0, length t).
+    Cached: a burst crossing a chain of elements is summed once, not
+    once per element. *)
+
+val exchange : t -> Vini_net.Packet.t array -> Vini_net.Packet.t array
+(** [exchange t full] makes [full] the batch's storage, every slot a
+    packet ([length t = Array.length full]), and returns the array it
+    replaced for the caller to reuse.  This is how {!Ring.pop_into} hands
+    over a whole burst without copying it.  The caller must hold no other
+    reference to [full] that it still writes.
+    @raise Invalid_argument unless [t] is empty and
+    [Array.length full = capacity t]. *)
+
 val length : t -> int
 val capacity : t -> int
 val is_empty : t -> bool

@@ -76,10 +76,7 @@ let push_batch t b =
         t.bytes <- t.bytes + Packet.size pkt;
         observe t pkt
       done
-    else
-      for i = 0 to n - 1 do
-        t.bytes <- t.bytes + Packet.size (Batch.unsafe_get b i)
-      done;
+    else t.bytes <- t.bytes + Batch.bytes b;
     if !Profile.gate then begin
       Profile.enter t.pid ~packets:n;
       (match t.fb with

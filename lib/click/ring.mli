@@ -28,7 +28,11 @@ val pop : t -> Vini_net.Packet.t option
 val pop_into : t -> Batch.t -> max:int -> int
 (** [pop_into t batch ~max] appends up to [max] packets (bounded also by
     the batch's free capacity) into [batch] in FIFO order and returns how
-    many moved.  Allocation-free. *)
+    many moved.  Allocation-free.  When the burst fills an empty batch
+    whose capacity is the ring's chunk size (64 for a capacity divisible
+    by 64) and starts on a chunk boundary, the batch and the ring swap
+    arrays ({!Batch.exchange}) instead of copying; the packets and their
+    order are the same either way. *)
 
 val length : t -> int
 val capacity : t -> int

@@ -22,7 +22,7 @@ let capacity t =
     | Some pkt -> Packet.size pkt
     | None -> 0
   in
-  float_of_int (max t.burst_bytes head)
+  float_of_int (Int.max t.burst_bytes head)
 
 let refill t =
   let now = Engine.now t.engine in

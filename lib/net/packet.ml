@@ -69,7 +69,7 @@ and body_size = function
   | Vpn inner ->
       (* Crypto framing beyond the outer IP+UDP already accounted for. *)
       inner.len + (Wire.openvpn_overhead - Wire.ipv4_header - Wire.udp_header)
-  | Probe p -> max p.pad 12
+  | Probe p -> Int.max p.pad 12
   | Control c -> c.size
 
 and icmp_size = function

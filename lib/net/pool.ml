@@ -57,7 +57,7 @@ let take_opt t =
 let recycle t pkt =
   if t.free = Array.length t.slots then t.overfills <- t.overfills + 1
   else begin
-    t.slots.(t.free) <- pkt;
+    Array.unsafe_set t.slots t.free pkt;
     t.free <- t.free + 1;
     t.recycles <- t.recycles + 1
   end

@@ -20,8 +20,7 @@ type proc = {
   cpu : t;
   slice : Slice.t;
   name : string;
-  has_work : unit -> bool;
-  next_cost : unit -> Time.t;
+  next_cost : unit -> Time.t; (* negative: no pending work *)
   exec : unit -> unit;
   mutable state : state;
   mutable fraction : float;
@@ -29,6 +28,12 @@ type proc = {
   mutable cpu_time : Time.t;
   mutable wakeups : int;
   mutable last_start : Time.t; (* wall-clock start of the latest exec *)
+  (* The service slice in flight: when [step] costed it and what it
+     costs.  [service] is the one preallocated event callback that serves
+     it; see [step] for why one of each per proc suffices. *)
+  mutable start : Time.t;
+  mutable cost : Time.t;
+  mutable service : unit -> unit;
 }
 
 let create ~engine ~rng ~speed_ghz ~contention =
@@ -47,22 +52,6 @@ let scale_cost t c =
      (it runs once per packet on the kernel and click paths). *)
   if t.speed_ghz = Calibration.reference_ghz then c
   else Time.of_sec_f (Time.to_sec_f c *. Calibration.reference_ghz /. t.speed_ghz)
-
-let spawn t ~slice ~name ~has_work ~next_cost ~exec =
-  {
-    cpu = t;
-    slice;
-    name;
-    has_work;
-    next_cost;
-    exec;
-    state = Idle;
-    fraction = 1.0;
-    budget = Time.zero;
-    cpu_time = Time.zero;
-    wakeups = 0;
-    last_start = Time.zero;
-  }
 
 let wake_latency p =
   let rng = p.cpu.rng in
@@ -109,22 +98,54 @@ let rec episode p =
   p.budget <- Calibration.burst_cpu_budget;
   step p
 
+(* One pending service per proc: [state] stays [Busy] from the wake
+   event until [step] finds no work, so [kick] schedules nothing while a
+   service event is pending, and [step] runs only from the wake event or
+   from the end of [serve] — after the pending service has fired.  Hence
+   [start]/[cost] are never overwritten before [serve] reads them, and
+   [service] can be one closure allocated at spawn instead of one per
+   packet. *)
 and step p =
-  if not (p.has_work ()) then p.state <- Idle
+  let cost = p.next_cost () in
+  if cost < 0 then p.state <- Idle
   else begin
-    let cost = p.next_cost () in
-    let wall = dilate cost p.fraction in
-    let start = Engine.now p.cpu.engine in
+    p.start <- Engine.now p.cpu.engine;
+    p.cost <- cost;
     (* Tail position: [step] is the last action of the wake event and of
        each service event, so the next service may run as part of the same
        breath when nothing else is due first. *)
-    Engine.after_inline p.cpu.engine wall (fun () ->
-        p.last_start <- start;
-        p.exec ();
-        p.cpu_time <- Time.add p.cpu_time cost;
-        p.budget <- Time.sub p.budget cost;
-        if Time.compare p.budget Time.zero <= 0 then episode p else step p)
+    Engine.after_inline p.cpu.engine (dilate cost p.fraction) p.service
   end
+
+and serve p =
+  let cost = p.cost in
+  p.last_start <- p.start;
+  p.exec ();
+  p.cpu_time <- Time.add p.cpu_time cost;
+  p.budget <- Time.sub p.budget cost;
+  if Time.compare p.budget Time.zero <= 0 then episode p else step p
+
+let spawn t ~slice ~name ~next_cost ~exec =
+  let p =
+    {
+      cpu = t;
+      slice;
+      name;
+      next_cost;
+      exec;
+      state = Idle;
+      fraction = 1.0;
+      budget = Time.zero;
+      cpu_time = Time.zero;
+      wakeups = 0;
+      last_start = Time.zero;
+      start = Time.zero;
+      cost = Time.zero;
+      service = ignore;
+    }
+  in
+  p.service <- (fun () -> serve p);
+  p
 
 module Trace = Vini_sim.Trace
 

@@ -47,13 +47,16 @@ val spawn :
   t ->
   slice:Slice.t ->
   name:string ->
-  has_work:(unit -> bool) ->
   next_cost:(unit -> Vini_sim.Time.t) ->
   exec:(unit -> unit) ->
   proc
 (** [next_cost] quotes the CPU cost of the next pending work item (already
-    scaled to this node; use {!scale_cost}); [exec] performs and dequeues
-    it.  The scheduler calls them only when [has_work ()] is true. *)
+    scaled to this node; use {!scale_cost}), or returns a negative time
+    when there is no pending work, which idles the process until the next
+    {!kick}.  [exec] performs and dequeues the item, once its dilated
+    service time has elapsed; the scheduler calls it only after
+    [next_cost] found work, and at most one service is pending per
+    process. *)
 
 val kick : proc -> unit
 (** Tell the scheduler the process has (new) pending work.  Idempotent

@@ -33,13 +33,8 @@ module Socket = struct
   }
 
   let port s = s.sock_port
-  let recv s = Vini_std.Fifo.pop s.buf
-  let peek s = Vini_std.Fifo.peek s.buf
-  let peek_at s i = Vini_std.Fifo.peek_at s.buf i
-  let pending s = Vini_std.Fifo.length s.buf
-  let drops s = Vini_std.Fifo.drops s.buf
+  let buffer s = s.buf
   let close s = Ipstack.unbind_udp s.node.stack ~port:s.sock_port
-  let clear s = Vini_std.Fifo.clear s.buf
 
   let reopen s =
     Ipstack.bind_udp s.node.stack ~port:s.sock_port s.handler

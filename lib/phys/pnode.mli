@@ -14,21 +14,14 @@ module Socket : sig
   type s
 
   val port : s -> int
-  val recv : s -> Vini_net.Packet.t option
-  val peek : s -> Vini_net.Packet.t option
 
-  val peek_at : s -> int -> Vini_net.Packet.t option
-  (** [i]-th buffered packet from the head without removing it; [None]
-      out of range.  O(1) — lets a bursting process cost its next [k]
-      packets up front. *)
-
-  val pending : s -> int
-  val drops : s -> int
-  (** Packets rejected because the receive buffer was full. *)
+  val buffer : s -> Vini_net.Packet.t Vini_std.Fifo.t
+  (** The receive buffer itself, which the owning process drains
+      directly. *)
 
   val close : s -> unit
-  val clear : s -> unit
-  (** Discard every buffered packet (a crashing process loses its queue). *)
+  (** Unbind the socket's port; arrivals become unmatched.  The buffer
+      keeps its contents. *)
 
   val reopen : s -> unit
   (** Re-bind the socket's port with its original handler after {!close}.

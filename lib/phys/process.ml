@@ -2,16 +2,19 @@ module Time = Vini_sim.Time
 module Span = Vini_sim.Span
 module Profile = Vini_sim.Profile
 module Packet = Vini_net.Packet
-
-type source =
-  | Sock of Pnode.Socket.s
-  | Queue of Packet.t Vini_std.Fifo.t
+module Fifo = Vini_std.Fifo
 
 type t = {
   pnode : Pnode.t;
   proc_slice : Slice.t;
   proc_name : string;
-  mutable sources : source array;
+  (* Every input buffer, served round-robin in opening order: each
+     socket's receive buffer ({!Pnode.Socket.buffer}) and each local
+     queue. *)
+  mutable sources : Packet.t Fifo.t array;
+  (* The sockets behind some of [sources], kept only to unbind them on a
+     crash and rebind them on a restart. *)
+  mutable sockets : Pnode.Socket.s list;
   mutable handler : Packet.t -> unit;
   cost_of : Packet.t -> Time.t;
   mutable proc : Cpu.proc option;
@@ -34,41 +37,25 @@ type t = {
 let default_cost pkt =
   Time.of_sec_f (Calibration.click_cost_us ~size:(Packet.size pkt) *. 1e-6)
 
-let source_pending = function
-  | Sock s -> Pnode.Socket.pending s
-  | Queue q -> Vini_std.Fifo.length q
-
-let source_peek = function
-  | Sock s -> Pnode.Socket.peek s
-  | Queue q -> Vini_std.Fifo.peek q
-
-let source_pop = function
-  | Sock s -> Pnode.Socket.recv s
-  | Queue q -> Vini_std.Fifo.pop q
-
-let source_peek_at s i =
-  match s with
-  | Sock k -> Pnode.Socket.peek_at k i
-  | Queue q -> Vini_std.Fifo.peek_at q i
-
-let source_drops = function
-  | Sock s -> Pnode.Socket.drops s
-  | Queue q -> Vini_std.Fifo.drops q
-
-(* Round-robin across sources, starting after the last-served one. *)
+(* Round-robin across sources, starting after the last-served one: the
+   index of the first non-empty source, or -1 when none has work (or the
+   process is dead).  Allocation-free; it runs at least twice per
+   service slice. *)
 let next_source t =
-  let n = Array.length t.sources in
-  if (not t.proc_alive) || n = 0 then None
-  else begin
-    let rec probe i remaining =
-      if remaining = 0 then None
-      else
-        let s = t.sources.(i mod n) in
-        if source_pending s > 0 then Some (i mod n, s)
-        else probe (i + 1) (remaining - 1)
-    in
-    probe t.rr n
-  end
+  let sources = t.sources in
+  let n = Array.length sources in
+  let found = ref (-1) in
+  if t.proc_alive then begin
+    let k = ref 0 in
+    while !found < 0 && !k < n do
+      (* [rr] is at most [n], so one subtraction wraps the index. *)
+      let i = t.rr + !k in
+      let i = if i >= n then i - n else i in
+      if Fifo.length (Array.unsafe_get sources i) > 0 then found := i;
+      incr k
+    done
+  end;
+  !found
 
 let component t = Printf.sprintf "%s@%s" t.proc_name (Pnode.name t.pnode)
 
@@ -90,13 +77,8 @@ let crash t =
   if t.proc_alive then begin
     t.proc_alive <- false;
     t.crashes <- t.crashes + 1;
-    Array.iter
-      (function
-        | Sock s ->
-            Pnode.Socket.close s;
-            Pnode.Socket.clear s
-        | Queue q -> Vini_std.Fifo.clear q)
-      t.sources;
+    List.iter Pnode.Socket.close t.sockets;
+    Array.iter Fifo.clear t.sources;
     lifecycle_event t "crash" "";
     List.iter (fun hook -> hook ()) t.crash_hooks
   end
@@ -108,18 +90,13 @@ let crash t =
 let retire t =
   if t.proc_alive then begin
     t.proc_alive <- false;
-    Array.iter
-      (function
-        | Sock s ->
-            Pnode.Socket.close s;
-            Pnode.Socket.clear s
-        | Queue q -> Vini_std.Fifo.clear q)
-      t.sources;
+    List.iter Pnode.Socket.close t.sockets;
+    Array.iter Fifo.clear t.sources;
     lifecycle_event t "retire" ""
   end
 
 let pending_packets t =
-  Array.fold_left (fun acc s -> acc + source_pending s) 0 t.sources
+  Array.fold_left (fun acc q -> acc + Fifo.length q) 0 t.sources
 
 let restart t =
   if t.proc_alive then invalid_arg "Process.restart: already running";
@@ -127,13 +104,8 @@ let restart t =
     invalid_arg "Process.restart: node is down";
   t.proc_alive <- true;
   t.restarts <- t.restarts + 1;
-  Array.iter
-    (function
-      | Sock s ->
-          Pnode.Socket.clear s;
-          Pnode.Socket.reopen s
-      | Queue q -> Vini_std.Fifo.clear q)
-    t.sources;
+  Array.iter Fifo.clear t.sources;
+  List.iter Pnode.Socket.reopen t.sockets;
   lifecycle_event t "restart" ""
 
 let create ~node ~slice ~name ?(cost_of = default_cost) ?(burst = 1) ~handler
@@ -145,6 +117,7 @@ let create ~node ~slice ~name ?(cost_of = default_cost) ?(burst = 1) ~handler
       proc_slice = slice;
       proc_name = name;
       sources = [||];
+      sockets = [];
       handler;
       cost_of;
       proc = None;
@@ -160,36 +133,37 @@ let create ~node ~slice ~name ?(cost_of = default_cost) ?(burst = 1) ~handler
     }
   in
   Pnode.attach_process node ~kill:(fun () -> crash t);
-  let has_work () = Option.is_some (next_source t) in
+  (* Cpu's contract: a negative cost means no work, and idles the
+     process until the next kick. *)
   let next_cost () =
-    match next_source t with
-    | None ->
-        t.planned <- 0;
-        Time.zero
-    | Some (_, s) ->
-        if t.burst = 1 then begin
-          (* The classic path, untouched: one packet, one slice. *)
-          t.planned <- 1;
-          match source_peek s with
-          | Some pkt -> Cpu.scale_cost (Pnode.cpu node) (t.cost_of pkt)
-          | None -> Time.zero
-        end
-        else begin
-          (* Budget a burst: up to [burst] packets from this source,
-             charged the sum of their individual costs — batching buys
-             fewer scheduler events, never cheaper CPU. *)
-          let n = min t.burst (source_pending s) in
-          t.planned <- n;
-          let total = ref Time.zero in
-          for i = 0 to n - 1 do
-            match source_peek_at s i with
-            | Some pkt ->
-                total :=
-                  Time.add !total (Cpu.scale_cost (Pnode.cpu node) (t.cost_of pkt))
-            | None -> ()
-          done;
-          !total
-        end
+    let i = next_source t in
+    if i < 0 then -1
+    else begin
+      let s = t.sources.(i) in
+      if t.burst = 1 then begin
+        (* The classic path, untouched: one packet, one slice. *)
+        t.planned <- 1;
+        match Fifo.peek s with
+        | Some pkt -> Cpu.scale_cost (Pnode.cpu node) (t.cost_of pkt)
+        | None -> Time.zero
+      end
+      else begin
+        (* Budget a burst: up to [burst] packets from this source,
+           charged the sum of their individual costs — batching buys
+           fewer scheduler events, never cheaper CPU. *)
+        let n = Int.min t.burst (Fifo.length s) in
+        t.planned <- n;
+        let total = ref Time.zero in
+        for i = 0 to n - 1 do
+          match Fifo.peek_at s i with
+          | Some pkt ->
+              total :=
+                Time.add !total (Cpu.scale_cost (Pnode.cpu node) (t.cost_of pkt))
+          | None -> ()
+        done;
+        !total
+      end
+    end
   in
   (* The handler call, wrapped in the profiler's service-cost context so
      element attribution knows the sim-time CPU cost of the packet in
@@ -204,7 +178,7 @@ let create ~node ~slice ~name ?(cost_of = default_cost) ?(burst = 1) ~handler
     else t.handler pkt
   in
   let serve_one ?interval s =
-    match source_pop s with
+    match Fifo.pop s with
     | Some pkt ->
         t.processed <- t.processed + 1;
         (if Span.on () then
@@ -253,7 +227,7 @@ let create ~node ~slice ~name ?(cost_of = default_cost) ?(burst = 1) ~handler
         let span_s = Time.to_sec_f (Time.sub finish start) in
         let total = ref 0.0 in
         for i = 0 to n - 1 do
-          match source_peek_at s i with
+          match Fifo.peek_at s i with
           | Some pkt ->
               total :=
                 !total
@@ -270,7 +244,7 @@ let create ~node ~slice ~name ?(cost_of = default_cost) ?(burst = 1) ~handler
         let k = ref 0 in
         let continue = ref true in
         while !k < n && !continue do
-          (match source_peek s with
+          (match Fifo.peek s with
           | Some pkt ->
               let c =
                 Time.to_sec_f (Cpu.scale_cost (Pnode.cpu node) (t.cost_of pkt))
@@ -283,29 +257,31 @@ let create ~node ~slice ~name ?(cost_of = default_cost) ?(burst = 1) ~handler
           incr k
         done
   in
+  (* Rescans rather than reusing [next_cost]'s pick: a packet that
+     arrived on an earlier source during the service slice is next in
+     round-robin order by now. *)
   let exec () =
-    match next_source t with
-    | Some (i, s) ->
-        t.rr <- i + 1;
-        t.breaths <- t.breaths + 1;
-        if t.burst = 1 then ignore (serve_one s)
+    let i = next_source t in
+    if i >= 0 then begin
+      let s = t.sources.(i) in
+      t.rr <- i + 1;
+      t.breaths <- t.breaths + 1;
+      if t.burst = 1 then ignore (serve_one s)
+      else begin
+        (* Serve exactly what was budgeted (or less if the handler
+           crashed the process mid-burst and the sources drained). *)
+        let n = Int.max 1 t.planned in
+        if Span.on () then serve_burst_spanned s n
         else begin
-          (* Serve exactly what was budgeted (or less if the handler
-             crashed the process mid-burst and the sources drained). *)
-          let n = max 1 t.planned in
-          if Span.on () then serve_burst_spanned s n
-          else begin
-            let k = ref 0 in
-            while !k < n && serve_one s do
-              incr k
-            done
-          end
+          let k = ref 0 in
+          while !k < n && serve_one s do
+            incr k
+          done
         end
-    | None -> ()
+      end
+    end
   in
-  let proc =
-    Cpu.spawn (Pnode.cpu node) ~slice ~name ~has_work ~next_cost ~exec
-  in
+  let proc = Cpu.spawn (Pnode.cpu node) ~slice ~name ~next_cost ~exec in
   t.proc <- Some proc;
   t
 
@@ -319,14 +295,13 @@ let open_socket t ~port ?rcvbuf_bytes () =
       ~on_packet:(fun () -> kick t)
       ()
   in
-  add_source t (Sock sock);
+  add_source t (Pnode.Socket.buffer sock);
+  t.sockets <- t.sockets @ [ sock ];
   sock
 
 let open_queue t ?(capacity_bytes = Calibration.udp_rcvbuf_bytes) () =
-  let q =
-    Vini_std.Fifo.create ~max_bytes:capacity_bytes ~size_of:Packet.size ()
-  in
-  add_source t (Queue q);
+  let q = Fifo.create ~max_bytes:capacity_bytes ~size_of:Packet.size () in
+  add_source t q;
   let module Trace = Vini_sim.Trace in
   fun pkt ->
     if not t.proc_alive then begin
@@ -342,7 +317,7 @@ let open_queue t ?(capacity_bytes = Calibration.udp_rcvbuf_bytes) () =
       false
     end
     else begin
-      let accepted = Vini_std.Fifo.push q pkt in
+      let accepted = Fifo.push q pkt in
       if accepted then begin
         if Span.on () then Span.note_enqueue ~pkt:pkt.Packet.id;
         kick t
@@ -375,4 +350,4 @@ let breaths t = t.breaths
 let burst t = t.burst
 
 let socket_drops t =
-  Array.fold_left (fun acc s -> acc + source_drops s) 0 t.sources
+  Array.fold_left (fun acc q -> acc + Fifo.drops q) 0 t.sources

@@ -165,33 +165,35 @@ let fire t h =
   end
   else h.callback ()
 
-let step t =
-  match Vini_std.Eventq.pop t.queue with
-  | None -> false
-  | Some h -> (
-      match h.state with
-      | Cancelled ->
-          t.cancelled_count <- t.cancelled_count + 1;
-          true
-      | Fired -> assert false
-      | Pending ->
-          fire t h;
-          true)
+(* Pop and dispatch the head event; the queue must be non-empty.
+   [Eventq.pop_exn] returns the handle itself, so nothing is allocated per
+   event on the way to the callback. *)
+let fire_next t =
+  let h = Vini_std.Eventq.pop_exn t.queue in
+  match h.state with
+  | Cancelled -> t.cancelled_count <- t.cancelled_count + 1
+  | Fired -> assert false
+  | Pending -> fire t h
 
+let step t =
+  if Vini_std.Eventq.is_empty t.queue then false
+  else begin
+    fire_next t;
+    true
+  end
+
+(* The loop tests [min_key] against the limit, one array load and no
+   option per event: an empty queue reports [max_int], which no real key
+   reaches (keys clamp at [max_int/2]), so [k <> max_int] also proves the
+   queue non-empty for [fire_next]. *)
 let run ?until t =
+  let limit = match until with Some l -> l | None -> Time.max_value in
   t.inline_depth <- 0;
-  t.inline_until <-
-    (match until with Some l -> l | None -> Time.max_value);
-  (* [min_key] rather than [peek]: same cursor search, no option
-     allocation per event.  An empty queue reports [max_int], which no
-     real key reaches (keys clamp at [max_int/2]). *)
-  let continue () =
-    let k = Vini_std.Eventq.min_key t.queue in
-    k <> max_int
-    && match until with None -> true | Some limit -> k <= limit
-  in
-  while continue () do
-    ignore (step t)
+  t.inline_until <- limit;
+  let k = ref (Vini_std.Eventq.min_key t.queue) in
+  while !k <> max_int && !k <= limit do
+    fire_next t;
+    k := Vini_std.Eventq.min_key t.queue
   done;
   t.inline_until <- -1;
   match until with

@@ -1,7 +1,7 @@
 (** The discrete-event simulation engine every experiment runs on.
 
     One event queue ({!Vini_std.Eventq}, a hole-based binary min-heap of
-    timestamped callbacks) and one clock, driven by one OCaml domain.
+    timestamped callbacks whose sift loops move only ints) and one clock, driven by one OCaml domain.
     Links, CPU schedulers, routing timers, TCP retransmissions, the fluid
     background model and the measurement samplers are all events on the
     same engine, so an entire VINI deployment — physical substrate plus
@@ -91,10 +91,13 @@ val every : t -> ?start:Time.t -> ?jitter:Time.t -> Time.t ->
 
 val run : ?until:Time.t -> t -> unit
 (** Drain events in timestamp order.  With [until], stops once the next
-    event would be later than [until] and advances the clock to [until]. *)
+    event would be later than [until] and advances the clock to [until].
+    The loop itself allocates nothing per event: it tests the queue's
+    [min_key] and pops with {!Vini_std.Eventq.pop_exn}. *)
 
 val step : t -> bool
-(** Fire exactly one event; [false] when the queue was empty. *)
+(** Pop the earliest queued event and fire it, or discard it if it was
+    cancelled; [false] when the queue was empty.  Allocation-free. *)
 
 val pending : t -> int
 (** Number of scheduled (uncancelled, unfired) events.  O(1): maintained

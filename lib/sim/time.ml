@@ -18,6 +18,8 @@ let ( <= ) : t -> t -> bool = Stdlib.( <= )
 let ( < ) : t -> t -> bool = Stdlib.( < )
 let ( >= ) : t -> t -> bool = Stdlib.( >= )
 let ( > ) : t -> t -> bool = Stdlib.( > )
-let min : t -> t -> t = Stdlib.min
-let max : t -> t -> t = Stdlib.max
+(* Int functions, not [Stdlib.min]/[max]: those are polymorphic and
+   compare through [compare_val] on every packet-path call. *)
+let min (a : t) (b : t) = if Stdlib.( <= ) a b then a else b
+let max (a : t) (b : t) = if Stdlib.( >= ) a b then a else b
 let pp ppf t = Format.fprintf ppf "%.6fs" (to_sec_f t)

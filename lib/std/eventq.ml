@@ -3,10 +3,22 @@
    ({!Calendar}) amortises well on width-matched workloads but pays a
    window scan per pop and a sorted list insert per push; at the queue
    depths a VINI deployment sustains (tens to a few hundred pending
-   events) the heap's ~log2 n integer compares win, every operation works
-   in preallocated parallel arrays (push and pop allocate nothing beyond
-   [pop]'s option), and [min_key] — the breath-coalescing test the engine
-   runs on every inline-eligible schedule — is a single array load.
+   events) the heap's ~log2 n integer compares win, and [min_key] — the
+   breath-coalescing test the engine runs on every inline-eligible
+   schedule — is a single array load.
+
+   Layout: the heap itself is three parallel [int] arrays — [keys],
+   [seqs], and [slots], the index of each entry's value in [vals].  The
+   values never move: a push stores its value in a free slot, a pop
+   writes [dummy] back into the popped slot and returns the slot to the
+   [free] stack.  So [sift_up]/[sift_down] move only immediates and never
+   hit the write barrier; a push and a pop cost one [caml_modify] each,
+   instead of one per heap level as when the boxed values travelled with
+   their keys.  Neither allocates outside array growth.
+
+   Slot invariant: the occupied slots and the [free] stack together are
+   exactly [0, size + nfree), so when the stack is empty the next free
+   slot is [size], and a full heap ([size] = capacity) has no free slot.
 
    Determinism: entries carry an insertion sequence number and the heap
    orders by (key, seq), so pop order is exactly FIFO within a timestamp
@@ -15,9 +27,12 @@
    clamping preserves (key, seq) order. *)
 
 type 'a t = {
-  mutable keys : int array;
-  mutable seqs : int array;
-  mutable vals : 'a array;
+  mutable keys : int array; (* heap position -> key *)
+  mutable seqs : int array; (* heap position -> insertion seq *)
+  mutable slots : int array; (* heap position -> index into [vals] *)
+  mutable vals : 'a array; (* slot -> value; [dummy] when free *)
+  mutable free : int array; (* stack of free slots below [size + nfree] *)
+  mutable nfree : int;
   mutable size : int;
   mutable next_seq : int;
   dummy : 'a; (* fills vacated slots so the heap never pins dead values *)
@@ -31,7 +46,10 @@ let create ?(capacity = 16) ~dummy () =
   {
     keys = Array.make capacity 0;
     seqs = Array.make capacity 0;
+    slots = Array.make capacity 0;
     vals = Array.make capacity dummy;
+    free = Array.make capacity 0;
+    nfree = 0;
     size = 0;
     next_seq = 0;
     dummy;
@@ -40,25 +58,27 @@ let create ?(capacity = 16) ~dummy () =
 let length t = t.size
 let is_empty t = t.size = 0
 
+(* Only called when full, so the free stack is empty and every slot below
+   the old capacity is occupied. *)
 let grow t =
   let cap = Array.length t.keys in
-  let cap' = 2 * cap in
-  let keys = Array.make cap' 0 in
-  Array.blit t.keys 0 keys 0 cap;
-  t.keys <- keys;
-  let seqs = Array.make cap' 0 in
-  Array.blit t.seqs 0 seqs 0 cap;
-  t.seqs <- seqs;
-  let vals = Array.make cap' t.dummy in
-  Array.blit t.vals 0 vals 0 cap;
-  t.vals <- vals
+  let extend a fill =
+    let a' = Array.make (2 * cap) fill in
+    Array.blit a 0 a' 0 cap;
+    a'
+  in
+  t.keys <- extend t.keys 0;
+  t.seqs <- extend t.seqs 0;
+  t.slots <- extend t.slots 0;
+  t.vals <- extend t.vals t.dummy;
+  t.free <- Array.make (2 * cap) 0
 
-(* Hole-based sift: carry the moving entry in registers and shift blocking
-   entries into the hole, one move per level instead of a three-array
-   swap.  [sift_up]/[sift_down] place entry (k, s, v) starting from the
-   hole at [i]. *)
+(* Hole-based sift: carry the moving entry (key [k], seq [s], slot [v])
+   in registers and shift blocking entries into the hole, one move per
+   level instead of a three-array swap.  All three arrays hold ints, so
+   no move pays the write barrier. *)
 let sift_up t i k s v =
-  let keys = t.keys and seqs = t.seqs and vals = t.vals in
+  let keys = t.keys and seqs = t.seqs and slots = t.slots in
   let i = ref i in
   let continue = ref true in
   while !continue && !i > 0 do
@@ -67,17 +87,17 @@ let sift_up t i k s v =
     if pk > k || (pk = k && Array.unsafe_get seqs p > s) then begin
       Array.unsafe_set keys !i pk;
       Array.unsafe_set seqs !i (Array.unsafe_get seqs p);
-      Array.unsafe_set vals !i (Array.unsafe_get vals p);
+      Array.unsafe_set slots !i (Array.unsafe_get slots p);
       i := p
     end
     else continue := false
   done;
   Array.unsafe_set keys !i k;
   Array.unsafe_set seqs !i s;
-  Array.unsafe_set vals !i v
+  Array.unsafe_set slots !i v
 
 let sift_down t i k s v =
-  let keys = t.keys and seqs = t.seqs and vals = t.vals in
+  let keys = t.keys and seqs = t.seqs and slots = t.slots in
   let n = t.size in
   let i = ref i in
   let continue = ref true in
@@ -99,7 +119,7 @@ let sift_down t i k s v =
       if mk < k || (mk = k && Array.unsafe_get seqs m < s) then begin
         Array.unsafe_set keys !i mk;
         Array.unsafe_set seqs !i (Array.unsafe_get seqs m);
-        Array.unsafe_set vals !i (Array.unsafe_get vals m);
+        Array.unsafe_set slots !i (Array.unsafe_get slots m);
         i := m
       end
       else continue := false
@@ -107,36 +127,46 @@ let sift_down t i k s v =
   done;
   Array.unsafe_set keys !i k;
   Array.unsafe_set seqs !i s;
-  Array.unsafe_set vals !i v
+  Array.unsafe_set slots !i v
 
 let push t ~key value =
   if t.size = Array.length t.keys then grow t;
   let i = t.size in
+  let slot =
+    if t.nfree = 0 then i
+    else begin
+      t.nfree <- t.nfree - 1;
+      t.free.(t.nfree)
+    end
+  in
+  t.vals.(slot) <- value;
   let s = t.next_seq in
   t.next_seq <- s + 1;
   t.size <- i + 1;
-  sift_up t i (clamp_key key) s value
+  sift_up t i (clamp_key key) s slot
 
 (* [max_int] when empty: no clamped key can reach it, so the engine's run
    loops use it as an unambiguous "nothing pending" sentinel. *)
 let min_key t = if t.size = 0 then max_int else t.keys.(0)
 
-let peek t = if t.size = 0 then None else Some t.vals.(0)
+let peek t = if t.size = 0 then None else Some t.vals.(t.slots.(0))
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let v = t.vals.(0) in
-    let n = t.size - 1 in
-    t.size <- n;
-    if n > 0 then begin
-      let lk = t.keys.(n) and ls = t.seqs.(n) and lv = t.vals.(n) in
-      t.vals.(n) <- t.dummy;
-      sift_down t 0 lk ls lv
-    end
-    else t.vals.(0) <- t.dummy;
-    Some v
-  end
+let release t slot =
+  t.vals.(slot) <- t.dummy;
+  t.free.(t.nfree) <- slot;
+  t.nfree <- t.nfree + 1
+
+let pop_exn t =
+  if t.size = 0 then invalid_arg "Eventq.pop_exn: empty queue";
+  let slot = t.slots.(0) in
+  let v = t.vals.(slot) in
+  release t slot;
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then sift_down t 0 t.keys.(n) t.seqs.(n) t.slots.(n);
+  v
+
+let pop t = if t.size = 0 then None else Some (pop_exn t)
 
 (* Drop entries whose value satisfies [dead], then restore the heap
    property bottom-up.  Pop order over the survivors is unchanged: it is
@@ -144,30 +174,28 @@ let pop t =
 let compact t ~dead =
   let kept = ref 0 in
   for i = 0 to t.size - 1 do
-    if not (dead t.vals.(i)) then begin
+    let slot = t.slots.(i) in
+    if dead t.vals.(slot) then release t slot
+    else begin
       t.keys.(!kept) <- t.keys.(i);
       t.seqs.(!kept) <- t.seqs.(i);
-      t.vals.(!kept) <- t.vals.(i);
+      t.slots.(!kept) <- slot;
       incr kept
     end
   done;
   let removed = t.size - !kept in
-  for i = !kept to t.size - 1 do
-    t.vals.(i) <- t.dummy
-  done;
   t.size <- !kept;
   for i = (t.size / 2) - 1 downto 0 do
-    sift_down t i t.keys.(i) t.seqs.(i) t.vals.(i)
+    sift_down t i t.keys.(i) t.seqs.(i) t.slots.(i)
   done;
   removed
 
 let clear t =
-  for i = 0 to t.size - 1 do
-    t.vals.(i) <- t.dummy
-  done;
-  t.size <- 0
+  Array.fill t.vals 0 (t.size + t.nfree) t.dummy;
+  t.size <- 0;
+  t.nfree <- 0
 
 let iter t f =
   for i = 0 to t.size - 1 do
-    f t.vals.(i)
+    f t.vals.(t.slots.(i))
   done

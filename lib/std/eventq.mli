@@ -5,10 +5,15 @@
     to [\[0, max_int/2\]], and entries with equal keys pop strictly FIFO,
     so a seeded simulation is bit-identical whichever queue implementation
     the engine uses.  The heap wins at the queue depths a deployment
-    sustains (tens to a few hundred pending events): push and pop are a
-    handful of integer compares in preallocated parallel arrays, and
-    {!min_key} — probed on every breath-coalescing decision and run-loop
-    iteration — is a single array load instead of a window scan.
+    sustains (tens to a few hundred pending events).
+
+    {b Cost.}  The heap arrays hold only ints (key, seq, and the slot of
+    each value); values sit still in a slot array recycled through a
+    free-slot stack.  {!push} and {!pop_exn} are O(log n) integer compares
+    and moves, allocate nothing outside array growth, and pay exactly one
+    write barrier each (the push stores its value into a slot, the pop
+    writes [dummy] back).  {!min_key} is one array load.  {!pop} and
+    {!peek} allocate only their option.
 
     Not thread-safe; one queue per engine or shard. *)
 
@@ -17,15 +22,16 @@ type 'a t
 val create : ?capacity:int -> dummy:'a -> unit -> 'a t
 (** [dummy] fills vacated slots so popped values are not pinned against
     the GC; it is never returned.  [capacity] (default 16) is the initial
-    array size; the arrays double as needed and never shrink. *)
+    array size; the arrays double as needed and never shrink.  A popped,
+    compacted or cleared value is not reachable from the queue. *)
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
 val push : 'a t -> key:int -> 'a -> unit
-(** O(log n), allocation-free (outside array growth).  Negative keys
-    clamp to 0, keys above [max_int/2] clamp to [max_int/2]; clamping
-    preserves (key, seq) order. *)
+(** O(log n), allocation-free (outside array growth), one write
+    barrier.  Negative keys clamp to 0, keys above [max_int/2] clamp to
+    [max_int/2]; clamping preserves (key, seq) order. *)
 
 val min_key : 'a t -> int
 (** Key of the earliest entry; [max_int] when empty (no clamped key can
@@ -34,9 +40,14 @@ val min_key : 'a t -> int
 val peek : 'a t -> 'a option
 (** Earliest entry by (key, seq), without removing it. *)
 
+val pop_exn : 'a t -> 'a
+(** Remove and return the earliest entry by (key, seq).  O(log n),
+    allocation-free, one write barrier.
+    @raise Invalid_argument when the queue is empty. *)
+
 val pop : 'a t -> 'a option
-(** Remove and return the earliest entry by (key, seq).  O(log n); the
-    option is the only allocation. *)
+(** {!pop_exn} in an option; [None] when empty.  The option is the only
+    allocation. *)
 
 val compact : 'a t -> dead:('a -> bool) -> int
 (** Drop entries whose value satisfies [dead]; returns how many were

@@ -135,7 +135,7 @@ let flight t = t.snd_nxt - t.snd_una
 
 let adv_window t =
   let ooo_bytes = List.fold_left (fun acc (_, l) -> acc + l) 0 t.ooo in
-  max 0 (t.rwnd_limit - ooo_bytes)
+  Int.max 0 (t.rwnd_limit - ooo_bytes)
 
 let emit t ?(syn = false) ?(ack = true) ?(fin = false) ~seq ~payload_len () =
   let seg =
@@ -191,7 +191,7 @@ and on_rto t =
       if flight t = 0 && not t.fin_sent then () (* nothing outstanding *)
       else begin
         t.timeouts <- t.timeouts + 1;
-        t.ssthresh <- max (flight t / 2) (2 * t.mss);
+        t.ssthresh <- Int.max (flight t / 2) (2 * t.mss);
         t.cwnd <- t.mss;
         t.in_recovery <- false;
         t.dup_acks <- 0;
@@ -209,17 +209,17 @@ and retransmit_one t =
   if t.fin_sent && t.snd_una >= t.snd_max then
     emit t ~fin:true ~seq:t.snd_max ~payload_len:0 ()
   else begin
-    let len = min t.mss (max 0 (t.snd_max - t.snd_una)) in
+    let len = Int.min t.mss (Int.max 0 (t.snd_max - t.snd_una)) in
     if len > 0 then begin
       emit t ~seq:t.snd_una ~payload_len:len ();
-      t.snd_nxt <- max t.snd_nxt (t.snd_una + len)
+      t.snd_nxt <- Int.max t.snd_nxt (t.snd_una + len)
     end
   end
 
 (* Bytes available to send starting at snd_nxt (committed + fresh app data). *)
 and available t =
-  let committed = max 0 (t.snd_max - t.snd_nxt) in
-  let fresh = match t.app_remaining with None -> t.mss | Some r -> max 0 r in
+  let committed = Int.max 0 (t.snd_max - t.snd_nxt) in
+  let fresh = match t.app_remaining with None -> t.mss | Some r -> Int.max 0 r in
   committed + fresh
 
 and pump t =
@@ -231,25 +231,25 @@ and pump t =
         flight t = 0
         && Time.compare t.last_send Time.zero > 0
         && Time.compare (Time.sub now t.last_send) t.rto > 0
-      then t.cwnd <- min t.cwnd (2 * t.mss);
+      then t.cwnd <- Int.min t.cwnd (2 * t.mss);
       let progress = ref true in
       while !progress do
         (* A floor of one MSS avoids modelling the persist timer. *)
-        let window = min t.cwnd (max t.peer_rwnd t.mss) in
+        let window = Int.min t.cwnd (Int.max t.peer_rwnd t.mss) in
         let usable = window - flight t in
-        let len = min t.mss (min usable (available t)) in
+        let len = Int.min t.mss (Int.min usable (available t)) in
         if len > 0 then begin
           emit t ~seq:t.snd_nxt ~payload_len:len ();
           if t.rtt_seq = None && not t.retransmitted_since_sample then begin
             t.rtt_seq <- Some (t.snd_nxt + len);
             t.rtt_sent_at <- now
           end;
-          let fresh = max 0 (t.snd_nxt + len - t.snd_max) in
+          let fresh = Int.max 0 (t.snd_nxt + len - t.snd_max) in
           (match t.app_remaining with
           | Some r -> t.app_remaining <- Some (r - fresh)
           | None -> ());
           t.snd_nxt <- t.snd_nxt + len;
-          t.snd_max <- max t.snd_max t.snd_nxt;
+          t.snd_max <- Int.max t.snd_max t.snd_nxt;
           t.last_send <- Engine.now t.engine;
           if t.rto_timer = None then arm_rto t
         end
@@ -289,8 +289,8 @@ let sample_rtt t ack =
   | Some _ | None -> ()
 
 let grow_cwnd t acked =
-  if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd + min acked t.mss
-  else t.cwnd <- t.cwnd + max 1 (t.mss * t.mss / t.cwnd);
+  if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd + Int.min acked t.mss
+  else t.cwnd <- t.cwnd + Int.max 1 (t.mss * t.mss / t.cwnd);
   Vini_std.Histogram.add t.cwnd_hist (float_of_int t.cwnd)
 
 let send_ack_now t = emit t ~seq:t.snd_nxt ~payload_len:0 ()
@@ -305,6 +305,12 @@ let schedule_ack t ~immediate =
              t.ack_timer <- None;
              if t.acks_owed > 0 then send_ack_now t))
 
+(* Out-of-order ranges [(start, len)] sort lexicographically, as the
+   polymorphic [compare] would, without going through [compare_val]. *)
+let compare_range (s1, l1) (s2, l2) =
+  let c = Int.compare s1 s2 in
+  if c <> 0 then c else Int.compare l1 l2
+
 (* Merge an in-flight data range into receive state; returns in-order bytes
    newly available to the application. *)
 let receive_data t seq len =
@@ -313,11 +319,11 @@ let receive_data t seq len =
     let seg_end = seq + len in
     if seg_end <= t.rcv_nxt then 0
     else if seq > t.rcv_nxt then begin
-      let start = max seq t.rcv_nxt in
-      let merged = List.sort compare ((start, seg_end - start) :: t.ooo) in
+      let start = Int.max seq t.rcv_nxt in
+      let merged = List.sort compare_range ((start, seg_end - start) :: t.ooo) in
       let rec coalesce = function
         | (s1, l1) :: (s2, l2) :: rest when s2 <= s1 + l1 ->
-            coalesce ((s1, max l1 (s2 + l2 - s1)) :: rest)
+            coalesce ((s1, Int.max l1 (s2 + l2 - s1)) :: rest)
         | x :: rest -> x :: coalesce rest
         | [] -> []
       in
@@ -401,7 +407,7 @@ let process_ack t (seg : Packet.tcp) =
     if t.dup_acks = 3 && not t.in_recovery then begin
       t.in_recovery <- true;
       t.recover <- t.snd_max;
-      t.ssthresh <- max (flight t / 2) (2 * t.mss);
+      t.ssthresh <- Int.max (flight t / 2) (2 * t.mss);
       t.cwnd <- t.ssthresh + (3 * t.mss);
       t.retransmits <- t.retransmits + 1;
       t.retransmitted_since_sample <- true;
@@ -542,7 +548,7 @@ let on_closed t f = t.closed_hook <- f
 
 let stats t =
   {
-    bytes_acked = min t.snd_una t.snd_max;
+    bytes_acked = Int.min t.snd_una t.snd_max;
     bytes_delivered = t.bytes_delivered;
     retransmits = t.retransmits;
     timeouts = t.timeouts;

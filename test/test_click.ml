@@ -449,6 +449,87 @@ let test_ring_backpressure () =
   check Alcotest.bool "full ring refuses" false (Ring.push ring (udp ()));
   check Alcotest.int "length unchanged" 2 (Ring.length ring)
 
+(* The ring against a FIFO model, over capacities that give it chunks of
+   1 to 64 slots and batches that do and do not match a chunk, so both
+   [pop_into] routes run: a whole aligned chunk is handed over by
+   [Batch.exchange], anything else is copied.  A drained batch must keep
+   its packets while the ring is refilled over the slots it came from,
+   and [Batch.bytes] must track every way a batch changes. *)
+let prop_ring_matches_fifo =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (6, map (fun k -> `Push k) (int_range 1 80));
+          (3, map (fun m -> `Drain m) (int_range 1 80));
+          (1, return `Pop);
+          (1, return `Clear);
+          (1, map (fun k -> `Edit k) (int_range 0 3)) ])
+  in
+  let gen =
+    QCheck.make
+      QCheck.Gen.(
+        triple
+          (oneofl [ 1; 3; 32; 64; 128; 192; 256 ])
+          (oneofl [ 1; 16; 32; 64; 65 ])
+          (list_size (int_range 1 60) op))
+      ~print:(fun (c, b, ops) ->
+        Printf.sprintf "capacity=%d batch=%d ops=%d" c b (List.length ops))
+  in
+  QCheck.Test.make ~name:"ring pop_into = FIFO model (copy and exchange)"
+    ~count:300 gen (fun (capacity, bcap, ops) ->
+      let ring = Ring.create ~capacity in
+      let batch = Batch.create ~capacity:bcap in
+      let model = Queue.create () in
+      let ids b = List.init (Batch.length b) (fun i -> (Batch.get b i).Packet.id) in
+      let size_sum b =
+        List.fold_left ( + ) 0
+          (List.init (Batch.length b) (fun i -> Packet.size (Batch.get b i)))
+      in
+      let next = ref 0 in
+      let ok = ref true in
+      let expect c = if not c then ok := false in
+      List.iter
+        (fun o ->
+          let held = ids batch in
+          (match o with
+          | `Push k ->
+              for _ = 1 to k do
+                incr next;
+                let p = udp ~size:(20 + (!next mod 97)) () in
+                let full = Queue.length model = capacity in
+                expect (Ring.push ring p = not full);
+                if not full then Queue.push p.Packet.id model
+              done;
+              (* The refill may reuse the slots the batch was drained
+                 from; the batch must not see it. *)
+              expect (ids batch = held)
+          | `Drain m ->
+              Batch.clear batch;
+              let n = Ring.pop_into ring batch ~max:m in
+              let want = List.init n (fun _ -> Queue.pop model) in
+              expect (n = min m (min bcap (n + Queue.length model)));
+              expect (ids batch = want)
+          | `Pop -> (
+              match Ring.pop ring with
+              | Some p -> expect (Queue.length model > 0 && Queue.pop model = p.Packet.id)
+              | None -> expect (Queue.is_empty model))
+          | `Clear ->
+              Ring.clear ring;
+              Queue.clear model
+          | `Edit k ->
+              let n = Batch.length batch in
+              if n > 0 then (
+                match k with
+                | 0 -> Batch.truncate batch (n / 2)
+                | 1 -> Batch.set batch 0 (udp ~size:1234 ())
+                | 2 -> Batch.unsafe_set batch (n - 1) (udp ~size:9 ())
+                | _ -> ignore (Batch.add batch (udp ~size:77 ()))));
+          expect (Batch.bytes batch = size_sum batch);
+          expect (Ring.length ring = Queue.length model))
+        ops;
+      !ok
+      && Ring.pushes ring >= Ring.pops ring + Ring.length ring)
+
 (* A pool drained mid-burst degrades deterministically: takes fail with
    exact, schedule-independent counts, and recycling restores service. *)
 let test_pool_exhaustion_degrades () =
@@ -616,6 +697,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_napt_roundtrip;
     Alcotest.test_case "ring pump preserves order" `Quick test_ring_pump_order;
     Alcotest.test_case "ring backpressure" `Quick test_ring_backpressure;
+    QCheck_alcotest.to_alcotest prop_ring_matches_fifo;
     Alcotest.test_case "pool exhaustion degrades deterministically" `Quick
       test_pool_exhaustion_degrades;
     Alcotest.test_case "batched steady state allocates nothing" `Quick

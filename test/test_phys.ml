@@ -118,8 +118,7 @@ let spawn_counter cpu ~slice ~work_items ~cost =
   let done_count = ref 0 in
   let proc =
     Cpu.spawn cpu ~slice ~name:"p"
-      ~has_work:(fun () -> !remaining > 0)
-      ~next_cost:(fun () -> cost)
+      ~next_cost:(fun () -> if !remaining > 0 then cost else Time.ns (-1))
       ~exec:(fun () ->
         decr remaining;
         incr done_count)
@@ -205,8 +204,7 @@ let test_cpu_realtime_wakes_fast () =
     let fired = ref false in
     let proc =
       Cpu.spawn cpu ~slice ~name:"w"
-        ~has_work:(fun () -> not !fired)
-        ~next_cost:(fun () -> Time.us 1)
+        ~next_cost:(fun () -> if !fired then Time.ns (-1) else Time.us 1)
         ~exec:(fun () ->
           fired := true;
           first := Engine.now engine)
@@ -634,6 +632,95 @@ let test_process_injection_queue () =
   Engine.run engine;
   check Alcotest.int "injected packets handled" 10 !handled
 
+(* Round-robin service.  One process on a dedicated-CPU node reads a
+   socket (source 0) and two local queues (sources 1 and 2), in that
+   opening order; every packet carries its source's tag in [usport], and
+   the handler logs tags in service order.  Each slice costs 1 ms, so
+   the tests can act while a service event is pending. *)
+let rr_fixture () =
+  let engine = Engine.create () in
+  let cpu =
+    Cpu.create ~engine ~rng:(rng 30) ~speed_ghz:2.8 ~contention:Cpu.Dedicated
+  in
+  let node =
+    Pnode.create ~engine ~rng:(rng 31) ~id:0 ~name:"n" ~addr:a2 ~cpu ()
+  in
+  let served = ref [] in
+  let proc =
+    Process.create ~node ~slice:(Slice.default_share "s") ~name:"p"
+      ~cost_of:(fun _ -> Time.ms 1)
+      ~handler:(fun pkt ->
+        match pkt.Packet.proto with
+        | Packet.Udp u -> served := u.Packet.usport :: !served
+        | _ -> ())
+      ()
+  in
+  ignore (Process.open_socket proc ~port:33000 ());
+  let qa = Process.open_queue proc () and qb = Process.open_queue proc () in
+  let pkt tag =
+    Packet.udp ~src:a1 ~dst:a2 ~sport:tag ~dport:33000 (Packet.Bytes_ 100)
+  in
+  (* Tags: 0 = socket, 1 = queue A, 2 = queue B. *)
+  let inject = function
+    | 0 -> Ipstack.deliver (Pnode.stack node) (pkt 0)
+    | 1 -> check Alcotest.bool "queue A accepts" true (qa (pkt 1))
+    | _ -> check Alcotest.bool "queue B accepts" true (qb (pkt 2))
+  in
+  let order () = List.rev !served in
+  (engine, node, proc, inject, order)
+
+let test_process_round_robin_order () =
+  let engine, _, proc, inject, order = rr_fixture () in
+  List.iter inject [ 0; 0; 0; 1; 1; 1; 2 ];
+  Engine.run engine;
+  (* One packet per source in turn; B runs dry and is skipped. *)
+  check Alcotest.(list int) "backlogged sources in turn" [ 0; 1; 2; 0; 1; 0; 1 ]
+    (order ());
+  (* A was served last, so the next round starts at B. *)
+  List.iter inject [ 0; 1; 2 ];
+  Engine.run engine;
+  check Alcotest.(list int) "next round starts after the last served"
+    [ 0; 1; 2; 0; 1; 0; 1; 2; 0; 1 ]
+    (order ());
+  check Alcotest.int "processed" 10 (Process.packets_processed proc)
+
+let test_process_round_robin_at_exec () =
+  let engine, _, proc, inject, order = rr_fixture () in
+  List.iter inject [ 2; 2 ];
+  (* B's first packet is costed and in service by 0.5 ms; the socket,
+     earlier in round-robin order, receives a packet meanwhile. *)
+  ignore
+    (Engine.at engine (Time.us 500) (fun () ->
+         check Alcotest.int "woken" 1 (Process.wakeups proc);
+         check Alcotest.(list int) "nothing served yet" [] (order ());
+         inject 0));
+  Engine.run engine;
+  check Alcotest.(list int) "served in order at exec time" [ 0; 2; 2 ]
+    (order ())
+
+let test_process_restart_with_pending_service () =
+  let engine, node, proc, inject, order = rr_fixture () in
+  inject 1;
+  (* The crash lands inside the 1 ms slice costed for that packet, and
+     the restart (with fresh input) before the slice ends. *)
+  ignore (Engine.at engine (Time.us 300) (fun () -> Process.crash proc));
+  ignore
+    (Engine.at engine (Time.us 500) (fun () ->
+         Process.restart proc;
+         inject 2));
+  Engine.run engine;
+  check Alcotest.(list int) "serves again after restart" [ 2 ] (order ());
+  check Alcotest.int "one wakeup" 1 (Process.wakeups proc);
+  check Alcotest.bool "one slice of cpu" true
+    (Time.compare (Process.cpu_time proc)
+       (Cpu.scale_cost (Pnode.cpu node) (Time.ms 1))
+    = 0);
+  (* And it keeps serving afterwards. *)
+  inject 0;
+  Engine.run engine;
+  check Alcotest.(list int) "then serves new input" [ 2; 0 ] (order ());
+  check Alcotest.int "a second episode" 2 (Process.wakeups proc)
+
 let suite =
   [
     Alcotest.test_case "plink serialization+delay" `Quick test_plink_serialization_and_delay;
@@ -668,4 +755,9 @@ let suite =
     Alcotest.test_case "process drains socket" `Quick test_process_drains_socket;
     Alcotest.test_case "process rcvbuf overflow" `Quick test_process_rcvbuf_overflow;
     Alcotest.test_case "process injection queue" `Quick test_process_injection_queue;
+    Alcotest.test_case "process round-robin order" `Quick test_process_round_robin_order;
+    Alcotest.test_case "process round-robin at exec time" `Quick
+      test_process_round_robin_at_exec;
+    Alcotest.test_case "process restart with pending service" `Quick
+      test_process_restart_with_pending_service;
   ]

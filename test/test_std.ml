@@ -1,9 +1,10 @@
-(* Unit and property tests for Vini_std: rng, heap, calendar, stats,
-   fifo. *)
+(* Unit and property tests for Vini_std: rng, heap, calendar, eventq,
+   stats, fifo. *)
 
 module Rng = Vini_std.Rng
 module Heap = Vini_std.Heap
 module Calendar = Vini_std.Calendar
+module Eventq = Vini_std.Eventq
 module Stats = Vini_std.Stats
 module Fifo = Vini_std.Fifo
 module Histogram = Vini_std.Histogram
@@ -278,6 +279,172 @@ let prop_calendar_matches_heap =
       drain ();
       !ok)
 
+(* --- eventq -------------------------------------------------------------- *)
+
+type eventq_op =
+  | Push of int
+  | Pop
+  | Pop_exn
+  | Peek
+  | Compact of int
+  | Clear
+
+let show_eventq_op = function
+  | Push k -> Printf.sprintf "push %d" k
+  | Pop -> "pop"
+  | Pop_exn -> "pop_exn"
+  | Peek -> "peek"
+  | Compact m -> Printf.sprintf "compact %d" m
+  | Clear -> "clear"
+
+(* The engine's queue against the stable heap on (clamped key, seq), op
+   for op: pushes with tie-dense, negative, huge and spread keys, both
+   pops, peek, [min_key], [length], [iter], [compact] and [clear].  The
+   queue starts at capacity 2, so it grows several times and then
+   recycles the slots that pops and compaction free. *)
+let prop_eventq_matches_heap =
+  let open QCheck in
+  let max_key = max_int / 2 in
+  let gen_key =
+    Gen.frequency
+      [
+        (6, Gen.int_range 0 8);
+        (1, Gen.int_range (-1000) (-1));
+        (1, Gen.int_range (max_key - 3) max_int);
+        (2, Gen.int_range 0 1_000_000);
+      ]
+  in
+  let gen_op =
+    Gen.frequency
+      [
+        (10, Gen.map (fun k -> Push k) gen_key);
+        (3, Gen.return Pop);
+        (3, Gen.return Pop_exn);
+        (2, Gen.return Peek);
+        (1, Gen.map (fun m -> Compact m) (Gen.int_range 2 5));
+        (1, Gen.return Clear);
+      ]
+  in
+  let arb =
+    make
+      ~print:(fun ops -> String.concat "; " (List.map show_eventq_op ops))
+      Gen.(list_size (int_range 100 400) gen_op)
+  in
+  Test.make ~name:"eventq pop order = stable heap on (key, seq)" ~count:200 arb
+    (fun ops ->
+      (* Ids start at 1 and the dummy is 0, which every [compact]
+         predicate calls dead, as the engine's cancelled dummy handle is. *)
+      let q = Eventq.create ~capacity:2 ~dummy:0 () in
+      let model =
+        Heap.create ~cmp:(fun (k1, s1, _) (k2, s2, _) ->
+            match Int.compare k1 k2 with 0 -> Int.compare s1 s2 | c -> c)
+      in
+      let clamp k = if k < 0 then 0 else if k > max_key then max_key else k in
+      let seq = ref 0 and next_id = ref 1 in
+      let head () = Option.map (fun (_, _, id) -> id) (Heap.peek model) in
+      let ids_of_model () =
+        List.sort Int.compare (List.map (fun (_, _, id) -> id) (Heap.to_list model))
+      in
+      let step op =
+        (match op with
+        | Push k ->
+            let id = !next_id in
+            incr next_id;
+            Eventq.push q ~key:k id;
+            Heap.push model (clamp k, !seq, id);
+            incr seq
+        | Pop ->
+            let want = Option.map (fun (_, _, id) -> id) (Heap.pop model) in
+            if Eventq.pop q <> want then Test.fail_report "pop"
+        | Pop_exn -> (
+            match Heap.pop model with
+            | Some (_, _, id) ->
+                if Eventq.pop_exn q <> id then Test.fail_report "pop_exn"
+            | None -> (
+                match Eventq.pop_exn q with
+                | _ -> Test.fail_report "pop_exn on empty returned"
+                | exception Invalid_argument _ -> ()))
+        | Peek ->
+            (* [iter] first: [peek] may reorganise the heap. *)
+            let seen = ref [] in
+            Eventq.iter q (fun id -> seen := id :: !seen);
+            if List.sort Int.compare !seen <> ids_of_model () then
+              Test.fail_report "iter";
+            if Eventq.peek q <> head () then Test.fail_report "peek"
+        | Compact m ->
+            let dead id = id mod m = 0 in
+            let entries = Heap.to_list model in
+            let survivors = List.filter (fun (_, _, id) -> not (dead id)) entries in
+            Heap.clear model;
+            List.iter (Heap.push model) survivors;
+            let removed = Eventq.compact q ~dead in
+            if removed <> List.length entries - List.length survivors then
+              Test.fail_report "compact count"
+        | Clear ->
+            Heap.clear model;
+            Eventq.clear q);
+        if Eventq.length q <> Heap.length model then Test.fail_report "length";
+        if Eventq.is_empty q <> Heap.is_empty model then
+          Test.fail_report "is_empty";
+        let want_min =
+          match Heap.peek model with Some (k, _, _) -> k | None -> max_int
+        in
+        if Eventq.min_key q <> want_min then Test.fail_report "min_key"
+      in
+      List.iter step ops;
+      (* Drain: the survivors come out in the model's order. *)
+      let rec drain () =
+        match Heap.pop model with
+        | None -> Eventq.pop q = None
+        | Some (_, _, id) -> Eventq.pop q = Some id && drain ()
+      in
+      drain ())
+
+(* Popped, compacted and cleared values must not stay reachable from the
+   queue; survivors must.  Allocation and popping happen in functions of
+   their own so no stack slot of this one holds a value. *)
+let[@inline never] eventq_fill q w ~first n =
+  for i = first to first + n - 1 do
+    let v = ref i in
+    Weak.set w i (Some v);
+    Eventq.push q ~key:(i mod 7) v
+  done
+
+let[@inline never] eventq_pop_some q n =
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Eventq.pop q))
+  done;
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Eventq.pop_exn q))
+  done
+
+let test_eventq_releases_values () =
+  let n = 200 and refill = 50 in
+  let q = Eventq.create ~capacity:4 ~dummy:(ref (-1)) () in
+  let w = Weak.create (n + refill) in
+  let live_matches_queue what =
+    Gc.full_major ();
+    let queued = Hashtbl.create n in
+    Eventq.iter q (fun v -> Hashtbl.replace queued !v ());
+    for i = 0 to Weak.length w - 1 do
+      check Alcotest.bool
+        (Printf.sprintf "%s: value %d reachable iff queued" what i)
+        (Hashtbl.mem queued i) (Weak.check w i)
+    done
+  in
+  eventq_fill q w ~first:0 n;
+  eventq_pop_some q 30;
+  live_matches_queue "after pops";
+  ignore (Eventq.compact q ~dead:(fun v -> !v mod 3 = 0));
+  live_matches_queue "after compact";
+  (* Refill the freed slots, pop again, then clear. *)
+  eventq_fill q w ~first:n refill;
+  eventq_pop_some q 20;
+  live_matches_queue "after slot reuse";
+  Eventq.clear q;
+  live_matches_queue "after clear";
+  check Alcotest.int "cleared" 0 (Eventq.length q)
+
 (* --- stats ------------------------------------------------------------- *)
 
 let feq msg a b = check (Alcotest.float 1e-9) msg a b
@@ -461,6 +628,9 @@ let suite =
     Alcotest.test_case "calendar compact" `Quick test_calendar_compact;
     Alcotest.test_case "calendar clear" `Quick test_calendar_clear;
     QCheck_alcotest.to_alcotest prop_calendar_matches_heap;
+    QCheck_alcotest.to_alcotest prop_eventq_matches_heap;
+    Alcotest.test_case "eventq releases popped values" `Quick
+      test_eventq_releases_values;
     Alcotest.test_case "stats basic moments" `Quick test_stats_basic;
     Alcotest.test_case "stats empty" `Quick test_stats_empty;
     Alcotest.test_case "stats percentile" `Quick test_stats_percentile;

@@ -164,9 +164,15 @@ let lookup_trie t addr =
   in
   go t.root None
 
+(* The xor of all four octets, so destinations that differ in any one
+   octet (10.9.0.1 and 10.9.1.1, say) land in different slots. *)
+let cache_index addr =
+  let h = addr lxor (addr lsr 16) in
+  (h lxor (h lsr 8)) land (cache_size - 1)
+
 let lookup t addr_t =
   let addr = Addr.to_int addr_t in
-  let s = t.cache.(addr lxor (addr lsr 16) land (cache_size - 1)) in
+  let s = t.cache.(cache_index addr) in
   if s.s_gen = t.gen && s.s_addr = addr then begin
     t.hits <- t.hits + 1;
     s.s_res

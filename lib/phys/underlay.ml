@@ -21,28 +21,39 @@ let planetlab_profile ~speed_ghz =
       Cpu.Shared { active_sampler = Calibration.shared_active_slices () };
   }
 
+(* Route recomputation's working memory, reused by every recompute. *)
+type spf = {
+  igp : int array;  (* igp.(s) = the IGP weight of slot [s]'s link *)
+  weights : int array;  (* this recompute's weight of slot [s] *)
+  dist : int array;  (* one source's shortest-path tree *)
+  prev : int array;
+  scratch : Graph.scratch;  (* the Dijkstra heap *)
+}
+
 type t = {
   engine : Engine.t;
   graph : Graph.t;
   pnodes : Pnode.t array;
   by_addr : (Addr.t, Pnode.t) Hashtbl.t;
-  (* adj.(u) = (neighbour, plink) for every link at [u], by neighbour id.
-     A link's state is its plink's ([Plink.is_up]); [set_link_state] is
-     the only writer. *)
-  adj : (int * Plink.t) array array;
+  (* plinks.(s) = the physical link behind adjacency slot [s]
+     ([Graph.first_slot]); a link's two slots share one plink.  A link's
+     state is its plink's ([Plink.is_up]); [set_link_state] is the only
+     writer. *)
+  plinks : Plink.t array;
+  (* hop.(s) = the neighbour slot [s] leads to: [Graph.slot_target],
+     kept here because every packet and every fluid hop reads it. *)
+  hop : int array;
   mask_failures : bool;
-  (* nh.(from).(dst) = next hop on the current shortest path from [from]
-     to [dst], or -1 when there is none ([from = dst], or unreachable).
-     Ignores link state: under exposure a route through a cut link
-     stands.  Rows are refilled in place by [recompute_routes]. *)
-  nh : int array array;
-  (* Per-(from, dst) forwarding cache: [Some (nh, plink)] when the next
-     hop exists and its link is up, [None] when the packet would
-     blackhole.  Refilled in place on every route recomputation and
-     link-state flip from [cells], one preallocated [Some] per adjacency
-     slot, so neither a refill nor a per-packet lookup allocates. *)
-  fwd : (int * Plink.t) option array array;
-  cells : (int * Plink.t) option array array;  (* Some adj.(u).(k) *)
+  (* nh.(from * n + dst) = the slot out of [from] on the current shortest
+     path to [dst], or -1 when there is none ([from = dst], or
+     unreachable).  Ignores link state: under exposure a route through a
+     cut link stands.  Refilled in place by [recompute_routes]. *)
+  nh : int array;
+  (* fwd.(from * n + dst) = nh's slot when its link is up, else -1 (the
+     packet would blackhole): the packet path's one load.  Refilled in
+     place on every route recomputation and link-state flip. *)
+  fwd : int array;
+  spf : spf;
   (* Dense addr → node-id table for the per-packet destination resolve.
      [addr_idx.(Addr.to_int a - addr_base)] is the node id, or -1 for a
      non-node address.  Built only when node addresses span a small range
@@ -58,62 +69,31 @@ let default_addr i =
   if i < 246 then Addr.of_octets 198 32 154 (10 + i)
   else Addr.add (Addr.of_octets 198 32 155 0) (i - 246)
 
-(* Index of neighbour [v] in [adj.(u)], or -1. *)
-let slot adj u v =
-  let row = adj.(u) in
-  let rec go k =
-    if k = Array.length row then -1
-    else if fst row.(k) = v then k
-    else go (k + 1)
-  in
-  go 0
-
-let weight_when_up t l =
-  let a = l.Graph.a and b = l.Graph.b in
-  let up = Plink.is_up (snd t.adj.(a).(slot t.adj a b)) in
-  (* A link into a crashed machine is as unusable as a cut fiber. *)
-  let ends_up = Pnode.is_up t.pnodes.(a) && Pnode.is_up t.pnodes.(b) in
-  if up && ends_up then l.Graph.weight else 100_000_000
-
-(* Fill [row] with the next hops from [src] out of its shortest-path tree
-   [prev]: towards [v] it is [v] itself when [v]'s parent is [src], else
-   the parent's next hop.  Memoised in the row, so a row costs O(n)
-   rather than one prev-chain walk per destination.  -2 marks a
-   destination not yet resolved. *)
-let fill_row row prev src =
-  Array.fill row 0 (Array.length row) (-2);
-  row.(src) <- -1;
-  let rec resolve v =
-    let h = row.(v) in
-    if h <> -2 then h
-    else begin
-      let h =
-        match prev.(v) with
-        | None -> -1
-        | Some p -> if p = src then v else resolve p
-      in
-      row.(v) <- h;
-      h
-    end
-  in
-  for v = 0 to Array.length row - 1 do
-    ignore (resolve v)
-  done
+(* Resolve [v]'s entry in the row of [nh] at [base], [src]'s, from
+   [src]'s shortest-path tree [prev]: towards [v] the packet leaves by
+   the slot to [v] itself when [v]'s parent is [src], else by the
+   parent's.  Memoised in the row, so a row costs O(n) rather than one
+   prev-chain walk per destination.  -2 marks an entry not yet
+   resolved. *)
+let rec resolve graph nh prev base src v =
+  let s = nh.(base + v) in
+  if s <> -2 then s
+  else begin
+    let p = prev.(v) in
+    let s =
+      if p < 0 then -1
+      else if p = src then Graph.find_slot graph src v
+      else resolve graph nh prev base src p
+    in
+    nh.(base + v) <- s;
+    s
+  end
 
 let rebuild_fwd t =
-  Array.iteri
-    (fun from row ->
-      let fwd = t.fwd.(from) in
-      Array.iteri
-        (fun dst h ->
-          fwd.(dst) <-
-            (if h < 0 then None
-             else
-               match t.cells.(from).(slot t.adj from h) with
-               | Some (_, plink) as cell when Plink.is_up plink -> cell
-               | _ -> None))
-        row)
-    t.nh
+  for i = 0 to Array.length t.nh - 1 do
+    let s = t.nh.(i) in
+    t.fwd.(i) <- (if s >= 0 && Plink.is_up t.plinks.(s) then s else -1)
+  done
 
 (* Per-packet destination resolve: a bounds check plus one array load on
    the dense path; the hashtable only serves scattered custom [addr_of]
@@ -129,12 +109,32 @@ let node_id_of_dst t a =
     | Some p -> Pnode.id p
     | None -> -1
 
+(* Every slot's weight is computed once, then each source's tree comes
+   from the shared int-array Dijkstra into the reused [dist]/[prev]. *)
 let recompute_routes t =
-  Array.iteri
-    (fun src row ->
-      let _, prev = Graph.dijkstra ~weight_of:(weight_when_up t) t.graph src in
-      fill_row row prev src)
-    t.nh;
+  let g = t.graph and spf = t.spf in
+  let n = Array.length t.pnodes in
+  for u = 0 to n - 1 do
+    let u_up = Pnode.is_up t.pnodes.(u) in
+    for s = Graph.first_slot g u to Graph.first_slot g (u + 1) - 1 do
+      (* A link into a crashed machine is as unusable as a cut fiber. *)
+      spf.weights.(s) <-
+        (if u_up && Plink.is_up t.plinks.(s)
+            && Pnode.is_up t.pnodes.(t.hop.(s))
+         then spf.igp.(s)
+         else 100_000_000)
+    done
+  done;
+  for src = 0 to n - 1 do
+    Graph.dijkstra_into g spf.scratch ~weights:spf.weights ~dist:spf.dist
+      ~prev:spf.prev src;
+    let base = src * n in
+    Array.fill t.nh base n (-2);
+    t.nh.(base + src) <- -1;
+    for v = 0 to n - 1 do
+      ignore (resolve g t.nh spf.prev base src v)
+    done
+  done;
   rebuild_fwd t
 
 let rec create ~engine ~rng ~graph
@@ -176,24 +176,18 @@ let rec create ~engine ~rng ~graph
       end
     end
   in
-  let adj = Array.make n [] in
-  List.iter
-    (fun (l : Graph.link) ->
-      let plink =
-        Plink.create ~engine ~rng:(Vini_std.Rng.split rng)
-          ~name:
-            (Printf.sprintf "plink.%s-%s" (Graph.name graph l.a)
-               (Graph.name graph l.b))
-          ~bandwidth_bps:l.bandwidth_bps ~delay:l.delay ~loss:l.loss ()
-      in
-      adj.(l.a) <- (l.b, plink) :: adj.(l.a);
-      adj.(l.b) <- (l.a, plink) :: adj.(l.b))
-    (Graph.links graph);
-  let adj =
+  let links =
     Array.map
-      (fun l -> Array.of_list (List.sort (fun (x, _) (y, _) -> compare x y) l))
-      adj
+      (fun (l : Graph.link) ->
+        ( l,
+          Plink.create ~engine ~rng:(Vini_std.Rng.split rng)
+            ~name:
+              (Printf.sprintf "plink.%s-%s" (Graph.name graph l.a)
+                 (Graph.name graph l.b))
+            ~bandwidth_bps:l.bandwidth_bps ~delay:l.delay ~loss:l.loss () ))
+      (Array.of_list (Graph.links graph))
   in
+  let slots = Graph.slot_count graph in
   let t =
     {
       engine;
@@ -202,11 +196,21 @@ let rec create ~engine ~rng ~graph
       by_addr;
       addr_base;
       addr_idx;
-      adj;
+      plinks = Array.init slots (fun s -> snd links.(Graph.slot_link graph s));
+      hop = Array.init slots (Graph.slot_target graph);
       mask_failures;
-      nh = Array.make_matrix n n (-1);
-      fwd = Array.make_matrix n n None;
-      cells = Array.map (Array.map (fun cell -> Some cell)) adj;
+      nh = Array.make (n * n) (-1);
+      fwd = Array.make (n * n) (-1);
+      spf =
+        {
+          igp =
+            Array.init slots (fun s ->
+                (fst links.(Graph.slot_link graph s)).weight);
+          weights = Array.make slots 0;
+          dist = Array.make n 0;
+          prev = Array.make n 0;
+          scratch = Graph.scratch graph;
+        };
       subscribers = [];
       blackholed = 0;
     }
@@ -227,29 +231,30 @@ and forward ?(inline = false) t nid pkt =
     let dst_id = node_id_of_dst t pkt.Packet.dst in
     if dst_id < 0 then t.blackholed <- t.blackholed + 1
     else
-        match t.fwd.(nid).(dst_id) with
-        | None -> t.blackholed <- t.blackholed + 1
-        | Some (nh, plink) -> (
-            match Packet.decr_ttl pkt with
-              | None ->
-                  (* TTL expired here; notify the source.  The notice
-                     inherits the dying packet's provenance so forensics
-                     show the expiry on the original packet's tree. *)
-                  if Vini_sim.Span.on () then
-                    Vini_sim.Span.drop ~pkt:pkt.Packet.id
-                      ~orig:pkt.Packet.orig ~component:(Pnode.name node)
-                      ~reason:"ttl-expired" ~bytes:(Packet.size pkt) ();
-                  let notice =
-                    Packet.icmp ~orig:pkt.Packet.orig ~src:(Pnode.addr node)
-                      ~dst:pkt.Packet.src
-                      (Packet.Time_exceeded
-                         { orig_src = pkt.Packet.src; orig_dst = pkt.Packet.dst })
-                  in
-                  originate t node notice
-              | Some pkt ->
-                  let dir = if nid < nh then 0 else 1 in
-                  Plink.transmit plink ~dir pkt ~deliver:(fun pkt ->
-                      arrive t nh pkt))
+      let s = t.fwd.((nid * Array.length t.pnodes) + dst_id) in
+      if s < 0 then t.blackholed <- t.blackholed + 1
+      else
+        match Packet.decr_ttl pkt with
+        | None ->
+            (* TTL expired here; notify the source.  The notice
+               inherits the dying packet's provenance so forensics
+               show the expiry on the original packet's tree. *)
+            if Vini_sim.Span.on () then
+              Vini_sim.Span.drop ~pkt:pkt.Packet.id
+                ~orig:pkt.Packet.orig ~component:(Pnode.name node)
+                ~reason:"ttl-expired" ~bytes:(Packet.size pkt) ();
+            let notice =
+              Packet.icmp ~orig:pkt.Packet.orig ~src:(Pnode.addr node)
+                ~dst:pkt.Packet.src
+                (Packet.Time_exceeded
+                   { orig_src = pkt.Packet.src; orig_dst = pkt.Packet.dst })
+            in
+            originate t node notice
+        | Some pkt ->
+            let nh = t.hop.(s) in
+            let dir = if nid < nh then 0 else 1 in
+            Plink.transmit t.plinks.(s) ~dir pkt ~deliver:(fun pkt ->
+                arrive t nh pkt)
   end
 
 and arrive t nid pkt =
@@ -278,8 +283,8 @@ let addr t i = Pnode.addr t.pnodes.(i)
 let nodes t = Array.to_list t.pnodes
 
 let plink t a b =
-  let k = if a >= 0 && a < Array.length t.adj then slot t.adj a b else -1 in
-  if k < 0 then raise Not_found else snd t.adj.(a).(k)
+  let s = Graph.find_slot t.graph a b in
+  if s < 0 then raise Not_found else t.plinks.(s)
 
 let set_link_state t a b up =
   let plink = plink t a b in
@@ -310,11 +315,20 @@ let node_is_up t i = Pnode.is_up t.pnodes.(i)
 
 let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
 
+(* The (from, dst) cell of [nh] and [fwd]; checking [dst] leaves the
+   array's own bounds check to catch a bad [from]. *)
+let cell t ~from ~dst =
+  let n = Array.length t.pnodes in
+  if dst < 0 || dst >= n then invalid_arg "Underlay: node out of range";
+  (from * n) + dst
+[@@inline]
+
 let next_hop t ~from ~dst =
-  let h = t.nh.(from).(dst) in
-  if h < 0 then None else Some h
+  let s = t.nh.(cell t ~from ~dst) in
+  if s < 0 then None else Some t.hop.(s)
 
 let forward_hop t ~from ~dst =
-  match t.fwd.(from).(dst) with Some (h, _) -> h | None -> -1
+  let s = t.fwd.(cell t ~from ~dst) in
+  if s < 0 then -1 else t.hop.(s)
 
 let blackholed t = t.blackholed

@@ -68,34 +68,35 @@ type t = {
   backlog : float array;  (* bytes queued, by directed queue *)
   inflow : float array;  (* bytes arrived this tick, by directed queue *)
   last : link_load array;  (* as of the last fold, for readers *)
-  (* out.(u) = (v, directed queue u->v) for every neighbour v of u *)
-  out : (int * int) array array;
+  path : int array;  (* one flow's queues, hop by hop; see [walk] *)
   sums : sums;
   mutable flows : int;
   mutable ticks : int;
   mutable stopped : bool;
 }
 
-let dir_of u v = if u < v then 0 else 1
-
-(* Whether forwarding from [u] gets to [dst] within the node count; a
-   longer walk is a routing loop. *)
-let rec reaches t ~dst hops u =
-  u = dst
-  || hops <= Graph.node_count t.graph
-     &&
-     let v = Underlay.forward_hop t.under ~from:u ~dst in
-     v >= 0 && reaches t ~dst (hops + 1) v
+let dir_of (u : int) v = if u < v then 0 else 1
 
 (* The directed queue u->v, or -1 when u and v are not adjacent. *)
 let queue_to t u v =
-  let row = t.out.(u) in
-  let rec go k =
-    if k = Array.length row then -1
-    else if fst row.(k) = v then snd row.(k)
-    else go (k + 1)
-  in
-  go 0
+  let s = Graph.find_slot t.graph u v in
+  if s < 0 then -1 else (2 * Graph.slot_link t.graph s) + dir_of u v
+
+(* Follow the forwarding table from [u] to [dst], writing the directed
+   queue of hop [i] to [path.(i)].  Returns the hop count, or -1 when the
+   walk blackholes or outgrows [path] (one more than the node count: a
+   routing loop). *)
+let rec walk t ~dst hops u =
+  if u = dst then hops
+  else if hops = Array.length t.path then -1
+  else begin
+    let v = Underlay.forward_hop t.under ~from:u ~dst in
+    if v < 0 then -1
+    else begin
+      t.path.(hops) <- queue_to t u v;
+      walk t ~dst (hops + 1) v
+    end
+  end
 
 (* Fluid queues cap at the same drop-tail byte limit the packet path
    uses, so flow-level and packet-level congestion agree on where loss
@@ -110,26 +111,23 @@ let fold t =
      take.  Offered load is link-level (bytes x hops traversed), so it
      balances against the per-link drain/drop/backlog sums below.  A
      flow that cannot reach its destination (no route, a cut link, or a
-     routing loop) is dropped whole at the edge. *)
+     routing loop) is dropped whole at the edge, so the one walk records
+     its queues and commits them only once it arrives. *)
   while Time.compare (Workload.peek_time t.stream) now_bin <= 0 do
     let f = Workload.next t.stream in
     t.flows <- t.flows + 1;
     let bytes = float_of_int f.Workload.wire_bytes in
-    let src = f.Workload.src_node and dst = f.Workload.dst_node in
-    if not (reaches t ~dst 0 src) then begin
+    let hops = walk t ~dst:f.Workload.dst_node 0 f.Workload.src_node in
+    if hops < 0 then begin
       sums.offered <- sums.offered +. bytes;
       sums.dropped <- sums.dropped +. bytes
     end
-    else begin
-      let u = ref src in
-      while !u <> dst do
-        let v = Underlay.forward_hop t.under ~from:!u ~dst in
-        let qi = queue_to t !u v in
+    else
+      for i = 0 to hops - 1 do
+        let qi = t.path.(i) in
         sums.offered <- sums.offered +. bytes;
-        t.inflow.(qi) <- t.inflow.(qi) +. bytes;
-        u := v
+        t.inflow.(qi) <- t.inflow.(qi) +. bytes
       done
-    end
   done;
   (* 2. Drain each directed link at capacity for one tick; excess over
      the queue limit is dropped.  Offered = drained + dropped + backlog
@@ -177,12 +175,6 @@ let install ~under cfg =
   | Error e -> invalid_arg ("Fluid.install: " ^ e));
   let graph = Underlay.graph under in
   let links = Array.of_list (Graph.links graph) in
-  let out = Array.make (Graph.node_count graph) [] in
-  Array.iteri
-    (fun i (l : Graph.link) ->
-      out.(l.a) <- (l.b, (2 * i) + dir_of l.a l.b) :: out.(l.a);
-      out.(l.b) <- (l.a, (2 * i) + dir_of l.b l.a) :: out.(l.b))
-    links;
   let nq = 2 * Array.length links in
   let t =
     {
@@ -195,7 +187,7 @@ let install ~under cfg =
       backlog = Array.make nq 0.0;
       inflow = Array.make nq 0.0;
       last = Array.make nq zero_load;
-      out = Array.map Array.of_list out;
+      path = Array.make (Graph.node_count graph + 1) 0;
       sums = { offered = 0.0; drained = 0.0; dropped = 0.0 };
       flows = 0;
       ticks = 0;
@@ -223,7 +215,7 @@ let totals t =
   }
 
 let link_load t ~a ~b =
-  let qi = if a >= 0 && a < Array.length t.out then queue_to t a b else -1 in
+  let qi = queue_to t a b in
   if qi < 0 then raise Not_found else t.last.(qi)
 
 let ticks t = t.ticks

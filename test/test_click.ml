@@ -192,6 +192,23 @@ let test_fib_cache_negative_results () =
   check Alcotest.(option string) "route appears despite cached miss"
     (Some "R") (Fib.lookup t addr)
 
+(* Destinations that differ only in the third octet must not share a
+   cache slot: after one round of misses, alternating over the four
+   flows hits every time. *)
+let test_fib_cache_third_octet () =
+  let t = Fib.create () in
+  Fib.add t (Prefix.of_string "10.9.0.0/16") "R";
+  let dsts =
+    Array.init 4 (fun i -> Addr.of_string (Printf.sprintf "10.9.%d.1" i))
+  in
+  Array.iter (fun a -> ignore (Fib.lookup t a)) dsts;
+  let h0 = Fib.cache_hits t and m0 = Fib.cache_misses t in
+  for _ = 1 to 3 do
+    Array.iter (fun a -> ignore (Fib.lookup t a)) dsts
+  done;
+  check Alcotest.int "no further misses" m0 (Fib.cache_misses t);
+  check Alcotest.int "every lookup hits" (h0 + 12) (Fib.cache_hits t)
+
 (* --- elements ------------------------------------------------------------ *)
 
 let test_element_counters () =
@@ -681,6 +698,8 @@ let suite =
       test_fib_cache_invalidated_on_update;
     Alcotest.test_case "fib cache negative results" `Quick
       test_fib_cache_negative_results;
+    Alcotest.test_case "fib cache separates third octets" `Quick
+      test_fib_cache_third_octet;
     Alcotest.test_case "element counters" `Quick test_element_counters;
     Alcotest.test_case "element tee" `Quick test_element_tee;
     Alcotest.test_case "element classifier" `Quick test_element_classifier;

@@ -349,11 +349,13 @@ let test_underlay_upcalls () =
   | [ Underlay.Link_down (0, 1); Underlay.Link_up (0, 1) ] -> ()
   | _ -> Alcotest.fail "unexpected event sequence"
 
-(* The next-hop table against an oracle: the prev-chain walk over a fresh
-   [Graph.dijkstra] with the weights the underlay routes on — link and
-   end-node state when masking, the creation-time weights when not (an
-   exposed underlay never reroutes).  The forwarding table must send a
-   packet on exactly when that next hop exists and its link is up. *)
+(* The next-hop table against an oracle: the prev-chain walk over
+   [Test_topo.oracle_spf]'s tree (Bellman-Ford, lowest-parent ties; no
+   code shared with the Dijkstra the tables come from) with the weights
+   the underlay routes on — link and end-node state when masking, the
+   creation-time weights when not (an exposed underlay never reroutes).
+   The forwarding table must send a packet on exactly when that next hop
+   exists and its link is up. *)
 let oracle_next_hop prev ~from ~dst =
   let rec back v =
     match prev.(v) with
@@ -393,7 +395,7 @@ let prop_next_hop_table =
       in
       List.for_all
         (fun from ->
-          let _, prev = Graph.dijkstra ~weight_of graph from in
+          let _, prev = Test_topo.oracle_spf ~weight_of graph from in
           List.for_all
             (fun dst ->
               let want = oracle_next_hop prev ~from ~dst in

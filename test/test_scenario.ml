@@ -90,6 +90,38 @@ let test_topo_rejects_wrong_schema () =
       check Alcotest.bool "error names the schema" true
         (mentions ~frag:"vini.topo/1" e)
 
+(* A two-node vini.topo/1 document whose one link has the given fields.
+   Each malformed link must come back as a labelled error that names it,
+   not load and then fail in [Underlay.create]. *)
+let one_link_doc ?(bandwidth_bps = 1e9) ?(loss = 0.0) ?(weight = 1) () =
+  Json.Obj
+    [
+      ("schema", Json.Str Generate.schema_version);
+      ("nodes", Json.Arr [ Json.Str "sea"; Json.Str "chi" ]);
+      ( "links",
+        Json.Arr
+          [
+            Json.Obj
+              [
+                ("a", Json.Num 0.0);
+                ("b", Json.Num 1.0);
+                ("bandwidth_bps", Json.Num bandwidth_bps);
+                ("delay_ns", Json.Num 1e6);
+                ("loss", Json.Num loss);
+                ("weight", Json.Num (float_of_int weight));
+              ];
+          ] );
+    ]
+
+let rejects_link ~what doc () =
+  match Generate.of_json doc with
+  | Ok _ -> Alcotest.failf "loaded a link with %s" what
+  | Error e ->
+      check Alcotest.bool ("labelled: " ^ e) true (mentions ~frag:"vini.topo:" e);
+      check Alcotest.bool ("names the link: " ^ e) true
+        (mentions ~frag:"sea-chi" e);
+      check Alcotest.bool ("names the field: " ^ e) true (mentions ~frag:what e)
+
 (* --- workload properties -------------------------------------------------- *)
 
 let pull n stream = List.init n (fun _ -> Workload.next stream)
@@ -511,6 +543,12 @@ let suite =
     QCheck_alcotest.to_alcotest prop_generated_connected;
     QCheck_alcotest.to_alcotest prop_delay_weight_monotone;
     Alcotest.test_case "vini.topo/1 round-trips" `Quick test_topo_roundtrip;
+    Alcotest.test_case "vini.topo/1 rejects a negative weight" `Quick
+      (rejects_link ~what:"weight" (one_link_doc ~weight:(-3) ()));
+    Alcotest.test_case "vini.topo/1 rejects a non-positive bandwidth" `Quick
+      (rejects_link ~what:"bandwidth_bps" (one_link_doc ~bandwidth_bps:0.0 ()));
+    Alcotest.test_case "vini.topo/1 rejects loss outside [0, 1]" `Quick
+      (rejects_link ~what:"loss" (one_link_doc ~loss:1.5 ()));
     Alcotest.test_case "vini.topo/1 rejects wrong schemas" `Quick
       test_topo_rejects_wrong_schema;
     QCheck_alcotest.to_alcotest prop_workload_deterministic;

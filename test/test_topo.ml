@@ -21,7 +21,12 @@ let test_create_validation () =
   in
   bad ~msg:"Graph.create: endpoint out of range" [ link 0 5 ];
   bad ~msg:"Graph.create: self-loop" [ link 1 1 ];
-  bad ~msg:"Graph.create: duplicate link" [ link 0 1; link 1 0 ]
+  bad ~msg:"Graph.create: duplicate link" [ link 0 1; link 1 0 ];
+  bad ~msg:"Graph.create: link a-b: negative weight -1" [ link ~w:(-1) 0 1 ];
+  bad ~msg:"Graph.create: link b-a: bandwidth_bps 0 is not positive"
+    [ link ~bw:0.0 1 0 ];
+  bad ~msg:"Graph.create: link a-b: loss -0.5 is outside [0, 1]"
+    [ { (link 0 1) with loss = -0.5 } ]
 
 let test_accessors () =
   let g = square () in
@@ -98,6 +103,68 @@ let prop_dijkstra_vs_bellman_ford =
       let d1, _ = Graph.dijkstra g src in
       let d2 = Graph.bellman_ford g src in
       d1 = d2)
+
+(* An oracle for Dijkstra's whole tree that shares none of its code:
+   Bellman-Ford distances, and as [v]'s parent the smallest neighbour [u]
+   with [dist u + w = dist v] ([None] for [src] and unreachable nodes).
+   [Graph.neighbors] is sorted by id, so the first match is the
+   smallest. *)
+let oracle_spf ?(weight_of = fun (l : Graph.link) -> l.weight) g src =
+  let dist = Graph.bellman_ford ~weight_of g src in
+  let parent v =
+    if v = src || dist.(v) = max_int then None
+    else
+      List.find_map
+        (fun (u, l) ->
+          if dist.(u) < max_int && dist.(u) + weight_of l = dist.(v) then
+            Some u
+          else None)
+        (Graph.neighbors g v)
+  in
+  (dist, Array.init (Graph.node_count g) parent)
+
+(* A connected graph with weights in {1, 2}: a random spanning tree plus
+   about [n] more links, so equal-cost paths, and parent ties, abound. *)
+let tie_dense_graph ~n ~seed =
+  let st = Random.State.make [| seed |] in
+  let seen = Hashtbl.create 16 in
+  let links = ref [] in
+  let add a b =
+    if a <> b && not (Hashtbl.mem seen (min a b, max a b)) then begin
+      Hashtbl.add seen (min a b, max a b) ();
+      links := link ~w:(1 + Random.State.int st 2) a b :: !links
+    end
+  in
+  for v = 1 to n - 1 do
+    add (Random.State.int st v) v
+  done;
+  for _ = 1 to n do
+    add (Random.State.int st n) (Random.State.int st n)
+  done;
+  Graph.create ~names:(Array.init n string_of_int) ~links:(List.rev !links)
+
+(* Both entry points against the oracle, from every source; the
+   allocation-free one reuses one scratch and one dist/prev pair
+   throughout, as the underlay does. *)
+let prop_dijkstra_vs_oracle =
+  QCheck.Test.make ~name:"dijkstra tree = oracle on tie-dense graphs" ~count:100
+    QCheck.(pair (int_range 2 30) (int_bound 10_000))
+    (fun (n, seed) ->
+      let g = tie_dense_graph ~n ~seed in
+      let weights =
+        Array.init (Graph.slot_count g) (fun s ->
+            (List.nth (Graph.links g) (Graph.slot_link g s)).weight)
+      in
+      let scratch = Graph.scratch g in
+      let dist = Array.make n 0 and prev = Array.make n 0 in
+      List.for_all
+        (fun src ->
+          let want_dist, want_prev = oracle_spf g src in
+          Graph.dijkstra_into g scratch ~weights ~dist ~prev src;
+          Graph.dijkstra g src = (want_dist, want_prev)
+          && dist = want_dist
+          && Array.map (fun p -> if p < 0 then None else Some p) prev = want_prev)
+        (Graph.nodes g))
 
 let prop_waxman_connected =
   QCheck.Test.make ~name:"waxman graphs are connected" ~count:60
@@ -199,6 +266,7 @@ let suite =
     Alcotest.test_case "path metrics" `Quick test_path_metrics;
     Alcotest.test_case "unreachable nodes" `Quick test_unreachable;
     QCheck_alcotest.to_alcotest prop_dijkstra_vs_bellman_ford;
+    QCheck_alcotest.to_alcotest prop_dijkstra_vs_oracle;
     QCheck_alcotest.to_alcotest prop_waxman_connected;
     Alcotest.test_case "abilene mirrors Figure 7" `Quick test_abilene_paths;
     Alcotest.test_case "deter dataset" `Quick test_deter_dataset;

@@ -16,7 +16,6 @@
      VINI_PERF_FAST  set to shrink op counts ~8x (smoke runs) *)
 
 module Export = Vini_measure.Export
-module Calendar = Vini_std.Calendar
 module Heap = Vini_std.Heap
 module Rng = Vini_std.Rng
 module Fib = Vini_click.Fib
@@ -77,21 +76,6 @@ let churn_heap () =
         push (Int64.add k (Int64.of_int (Rng.int rng sched_inc)))
   done
 
-let churn_calendar () =
-  let rng = Rng.create 42 in
-  let c = Calendar.create () in
-  for _ = 1 to sched_pending do
-    let k = Rng.int rng sched_inc in
-    Calendar.push c ~key:k k
-  done;
-  for _ = 1 to sched_ops do
-    match Calendar.pop c with
-    | None -> assert false
-    | Some k ->
-        let k' = k + Rng.int rng sched_inc in
-        Calendar.push c ~key:k' k'
-  done
-
 (* The queue the engine actually runs on ([Vini_std.Eventq], a hole-based
    binary heap with O(1) [min_key] for the inline fast path); insertion
    order is its tie-break, matching the seeded stream here. *)
@@ -109,90 +93,6 @@ let churn_eventq () =
         let k' = k + Rng.int rng sched_inc in
         Vini_std.Eventq.push q ~key:k' k'
   done
-
-(* ---- Sharded engine scaling (conservative PDES on domains) ------------ *)
-
-(* The same hold-model churn, run on the sharded runtime: one shard per
-   Abilene PoP, lookahead = the real inter-PoP propagation delays
-   (adjacency-restricted), every 16th event migrating to a random
-   neighbor via [Shard.post] so the barrier/mailbox machinery is on the
-   measured path.  Identical seeded workload at [domains = 1] and
-   [domains = 4]; the per-shard FNV checksum over (event time, payload)
-   must match between the two configs — the bench aborts otherwise — and
-   the ratio of the two wall-clock timings is the [sched.sharded_scaling]
-   speedup CI gates at >= 1.5x on 4-core runners.  Wall clock, not
-   [Sys.time]: CPU seconds sum across domains and would hide scaling. *)
-
-module Coordinator = Vini_sim.Coordinator
-module Shard = Vini_sim.Shard
-module Stime = Vini_sim.Time
-module Graph = Vini_topo.Graph
-
-let sharded_pending = 1_024 (* initial events per shard *)
-let sharded_work = 256 (* xorshift64 rounds of per-event CPU *)
-let sharded_horizon = if fast then Stime.ms 12 else Stime.ms 100
-
-let sharded_run ~domains =
-  let g = Vini_repro.Abilene.topology () in
-  let n = Graph.node_count g in
-  let lookahead src dst =
-    Option.map (fun l -> l.Graph.delay) (Graph.find_link g src dst)
-  in
-  let c = Coordinator.create ~seed:42 ~shards:n ~domains ~lookahead () in
-  let neighbors =
-    Array.init n (fun s -> Array.of_list (Graph.neighbors g s))
-  in
-  (* Shard-confined cells: slot [s] is touched only by shard [s]. *)
-  let sums = Array.make n 0L in
-  let fired = Array.make n 0 in
-  let rec ev s () =
-    let sh = Coordinator.shard c s in
-    let x = ref (Int64.of_int ((s lsl 20) lxor (fired.(s) + 1))) in
-    for _ = 1 to sharded_work do
-      x := Int64.logxor !x (Int64.shift_left !x 13);
-      x := Int64.logxor !x (Int64.shift_right_logical !x 7);
-      x := Int64.logxor !x (Int64.shift_left !x 17)
-    done;
-    sums.(s) <-
-      Int64.add (Int64.mul sums.(s) 1099511628211L)
-        (Int64.add (Int64.of_int (Shard.now sh)) !x);
-    fired.(s) <- fired.(s) + 1;
-    let rng = Shard.rng sh in
-    if fired.(s) land 15 = 0 && Array.length neighbors.(s) > 0 then begin
-      (* Migrate: the event continues on a random neighbor one link
-         propagation later (>= lookahead by construction). *)
-      let d, l = neighbors.(s).(Rng.int rng (Array.length neighbors.(s))) in
-      ignore
-        (Shard.post sh ~dst:d
-           (Stime.add (Shard.now sh) l.Graph.delay)
-           (ev d))
-    end
-    else
-      ignore (Shard.after sh (Stime.ns (Rng.int rng sched_inc)) (ev s))
-  in
-  for s = 0 to n - 1 do
-    let sh = Coordinator.shard c s in
-    for _ = 1 to sharded_pending do
-      ignore (Shard.at sh (Stime.ns (Rng.int (Shard.rng sh) sched_inc)) (ev s))
-    done
-  done;
-  Coordinator.run ~until:sharded_horizon c;
-  let sum = Array.fold_left Int64.add 0L sums in
-  (Coordinator.events_fired c, sum)
-
-let sharded_bench ~name ~domains =
-  let trials = if fast then 1 else 2 in
-  let best = ref infinity and ops = ref 1 and sum = ref 0L in
-  for _ = 1 to trials do
-    Gc.compact ();
-    let t0 = Unix.gettimeofday () in
-    let n, s = sharded_run ~domains in
-    let dt = Unix.gettimeofday () -. t0 in
-    ops := n;
-    sum := s;
-    if dt < !best then best := dt
-  done;
-  ({ name; ops = !ops; ns_per_op = !best *. 1e9 /. float_of_int !ops }, !sum)
 
 (* ---- LPM lookup ------------------------------------------------------- *)
 
@@ -655,9 +555,6 @@ let run () =
   Printf.printf "\n== Hot-path performance suite (vini.perf/1%s) ==\n%!"
     (if fast then ", fast mode" else "");
   let heap_b = bench ~name:"sched.heap_churn" ~ops:sched_ops churn_heap in
-  let cal_b =
-    bench ~name:"sched.calendar_churn" ~ops:sched_ops churn_calendar
-  in
   let evq_b = bench ~name:"sched.eventq_churn" ~ops:sched_ops churn_eventq in
   let table = lpm_table (Rng.create 7) in
   let refer = Fib_reference.create () in
@@ -711,13 +608,6 @@ let run () =
     bench ~name:"scenario.embed200_online" ~ops:scen_ops
       (scen_embed Vini_embed.Request.Online)
   in
-  let sharded_1, sum_1 = sharded_bench ~name:"sched.sharded_1dom" ~domains:1 in
-  let sharded_4, sum_4 = sharded_bench ~name:"sched.sharded_4dom" ~domains:4 in
-  if sum_1 <> sum_4 then (
-    Printf.eprintf
-      "FATAL: sharded determinism violated: checksum %Ld (1 domain) <> %Ld (4 domains)\n%!"
-      sum_1 sum_4;
-    exit 1);
   let migrate_b =
     bench ~name:"embed.migrate_cutover" ~ops:migrate_cycles
       (migrate_cutover_loop (migrate_cutover_setup ()))
@@ -734,22 +624,15 @@ let run () =
   let spans_off_a, spans_on, spans_off_b = spans_benches () in
   let prof_off_a, prof_on, prof_off_b = profiler_benches () in
   let benches =
-    [ heap_b; cal_b; evq_b; sharded_1; sharded_4; ref_flow; fib_flow;
-      ref_uni; fib_uni; embed_greedy; embed_online; scen_gen_b; scen_wl_b;
-      scen_greedy; scen_online; migrate_b; dp_single;
-      dp_batch; macro_b; spans_off_a; spans_on; spans_off_b; prof_off_a;
-      prof_on; prof_off_b ]
+    [ heap_b; evq_b; ref_flow; fib_flow; ref_uni; fib_uni; embed_greedy;
+      embed_online; scen_gen_b; scen_wl_b; scen_greedy; scen_online;
+      migrate_b; dp_single; dp_batch; macro_b; spans_off_a; spans_on;
+      spans_off_b; prof_off_a; prof_on; prof_off_b ]
   in
   let speedups =
     [
-      (* The engine's queue vs the generic heap it started from; the
-         calendar remains recorded above as the retained alternative. *)
+      (* The engine's queue vs the generic heap it started from. *)
       ("scheduler_churn", heap_b, evq_b);
-      (* Domain scaling of the sharded runtime: wall-clock 1-domain /
-         4-domain on the identical seeded workload.  Gated >= 1.5x in CI
-         on 4-core runners; ~1.0 on this box is honest when it has fewer
-         cores (the [cores] runner field records which regime applied). *)
-      ("sched.sharded_scaling", sharded_1, sharded_4);
       ("lpm_lookup_flow", ref_flow, fib_flow);
       ("lpm_lookup_uniform", ref_uni, fib_uni);
       (* The batched data plane: one engine event per 64-packet breath vs
@@ -785,9 +668,6 @@ let run () =
     (100.0 *. float_of_int hits /. float_of_int (max 1 (hits + misses)))
     hits misses;
   Printf.printf "  e2e replay %.1f Mb/s\n" mbps;
-  Printf.printf
-    "  sharded determinism checksum %Ld (identical at 1 and 4 domains)\n"
-    sum_1;
   let doc =
     Export.Obj
       [

@@ -2,16 +2,15 @@
     between a packet source and the scheduler event that drains it in
     bursts.
 
-    Same shape as {!Vini_std.Mailbox} (bounded circular buffer, explicit
-    backpressure: a full ring refuses the push and the producer counts
-    the drop), specialised to packets and extended with a batch drain:
+    A bounded circular buffer with explicit backpressure (a full ring
+    refuses the push and the producer counts the drop), specialised to
+    packets and extended with a batch drain:
     {!pop_into} moves up to [max] packets into a {!Batch} in FIFO order
     with no per-packet allocation, which is how a breath begins.
 
     Producer and consumer are synchronised externally — on the
     deterministic engine both run in the same domain, interleaved by the
-    event loop — so the ring is plain mutable state with no atomics,
-    exactly like the mailbox it mirrors. *)
+    event loop — so the ring is plain mutable state with no atomics. *)
 
 type t
 

@@ -161,26 +161,10 @@ let watch_process t ~prefix p =
 
 let watch_profile t ?(prefix = "profile") p =
   let open Vini_sim in
-  counter t ~name:(prefix ^ ".windows") (fun () ->
-      float_of_int (Profile.windows p));
-  counter t ~name:(prefix ^ ".cross_posts") (fun () ->
-      float_of_int (Profile.cross_posts_total p));
-  gauge t ~name:(prefix ^ ".queue_hwm") (fun () ->
-      float_of_int (Profile.queue_hwm_max p));
-  gauge t ~name:(prefix ^ ".mailbox_hwm") (fun () ->
-      float_of_int (Profile.mailbox_hwm_max p));
-  gauge t ~name:(prefix ^ ".lookahead_floor_s") (fun () ->
-      Profile.lookahead_floor_s p);
   counter t ~name:(prefix ^ ".element_packets") (fun () ->
       float_of_int (Profile.element_packets_total p));
   counter t ~name:(prefix ^ ".element_cost_s") (fun () ->
-      Profile.attributed_cost_s p);
-  histogram t ~name:(prefix ^ ".window_s") (Profile.window_hist p);
-  histogram t
-    ~name:(prefix ^ ".events_per_window")
-    (Profile.events_per_window p);
-  (* Host wall-clock; export-only (see profile.mli). *)
-  histogram t ~name:(prefix ^ ".barrier_wait_s") (Profile.barrier_wait_hist p)
+      Profile.attributed_cost_s p)
 
 let watch_tcp t ~prefix conn =
   counter t ~name:(prefix ^ ".retransmits") (fun () ->

@@ -80,11 +80,8 @@ val watch_process : t -> prefix:string -> Vini_phys.Process.t -> unit
     the [.breath_utilization] gauge (packets per breath over [burst]). *)
 
 val watch_profile : t -> ?prefix:string -> Vini_sim.Profile.t -> unit
-(** The runtime profiler's own telemetry (prefix default ["profile"]):
-    [.windows], [.cross_posts], [.element_packets], [.element_cost_s]
-    counters; [.queue_hwm], [.mailbox_hwm], [.lookahead_floor_s] gauges;
-    [.window_s], [.events_per_window] histograms, and the host-clock
-    [.barrier_wait_s] histogram (export-only — never byte-compared). *)
+(** The runtime profiler's element attribution (prefix default
+    ["profile"]): [.element_packets] and [.element_cost_s] counters. *)
 
 val watch_tcp : t -> prefix:string -> Vini_transport.Tcp.t -> unit
 (** [<prefix>.retransmits], [.bytes_acked] counters and the

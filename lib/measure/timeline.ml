@@ -79,8 +79,7 @@ let register t ~name read =
 let gauge = register
 
 (* ---- prewired sources (deterministic quantities only; host-clock data
-   like barrier waits or callback times must stay out — see DESIGN.md
-   §16) ---------------------------------------------------------------- *)
+   like callback times must stay out — see DESIGN.md §16) -------------- *)
 
 let watch_engine t ?(prefix = "engine") engine =
   register t ~name:(prefix ^ ".fired") (fun () ->
@@ -95,18 +94,6 @@ let watch_engine t ?(prefix = "engine") engine =
       float_of_int (Engine.max_pending engine))
 
 let watch_profile t ?(prefix = "profile") p =
-  register t ~name:(prefix ^ ".windows") (fun () ->
-      float_of_int (Profile.windows p));
-  register t ~name:(prefix ^ ".cross_posts") (fun () ->
-      float_of_int (Profile.cross_posts_total p));
-  register t ~name:(prefix ^ ".queue_hwm") (fun () ->
-      float_of_int (Profile.queue_hwm_max p));
-  register t ~name:(prefix ^ ".mailbox_hwm") (fun () ->
-      float_of_int (Profile.mailbox_hwm_max p));
-  register t ~name:(prefix ^ ".events_per_window_p95") (fun () ->
-      let h = Profile.events_per_window p in
-      if Vini_std.Histogram.is_empty h then 0.0
-      else Vini_std.Histogram.percentile h 95.0);
   register t ~name:(prefix ^ ".element_packets") (fun () ->
       float_of_int (Profile.element_packets_total p));
   register t ~name:(prefix ^ ".element_cost_s") (fun () ->

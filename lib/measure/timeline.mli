@@ -22,8 +22,8 @@
     timeline document is byte-identical across runs with the same seed
     (CI-gated).  Sources must
     therefore read only deterministic quantities: host-clock data (the
-    profiler's barrier waits, the engine's callback histogram) is
-    excluded from the prewired watchers by design.
+    engine's callback histogram) is excluded from the prewired watchers
+    by design.
 
     {b Allocation.}  The sampler allocates only at snapshot boundaries
     (one row per snapshot); between ticks it costs nothing, and it never
@@ -65,10 +65,8 @@ val watch_engine : t -> ?prefix:string -> Vini_sim.Engine.t -> unit
     [.max_pending] (prefix default ["engine"]). *)
 
 val watch_profile : t -> ?prefix:string -> Vini_sim.Profile.t -> unit
-(** [<prefix>.windows], [.cross_posts], [.queue_hwm], [.mailbox_hwm],
-    [.events_per_window_p95], [.element_packets], [.element_cost_s]
-    (prefix default ["profile"]).  Deliberately excludes the host-clock
-    barrier-wait histogram. *)
+(** [<prefix>.element_packets], [.element_cost_s] (prefix default
+    ["profile"]). *)
 
 val watch_pool : t -> prefix:string -> Vini_net.Pool.t -> unit
 (** [<prefix>.available], [.low_watermark], [.takes], [.exhaustions]. *)

@@ -6,9 +6,8 @@
     background model and the measurement samplers are all events on the
     same engine, so an entire VINI deployment — physical substrate plus
     every slice — advances on one logical clock, and a seed fixes the
-    whole run.  Parallel execution lives elsewhere: {!Shard} and
-    {!Coordinator} run shard-confined workloads on several domains, and
-    no experiment uses them (DESIGN.md §13).
+    whole run.  There is no second runtime: one engine per experiment
+    (DESIGN.md §13).
 
     {b Complexity.}  {!at}/{!after} and {!step} are O(log pending);
     the queue's O(1) [min_key] feeds the {!at_inline} fast path, which
@@ -21,8 +20,7 @@
     {b Determinism.}  Events fire in (timestamp, scheduling order):
     same-timestamp events drain strictly FIFO, exactly as with the
     binary-heap and calendar queues before this one, so seeded runs are
-    bit-identical across all three scheduler implementations and across
-    hosts. *)
+    bit-identical to theirs and across hosts. *)
 
 type t
 

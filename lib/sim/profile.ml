@@ -1,21 +1,12 @@
-(* The runtime self-profiler: counters and histograms about the engine
-   itself (windows, barrier waits, mailbox depths) and about the data
-   plane (per-element-class CPU attribution with collapsed call paths).
+(* The runtime self-profiler: per-element-class CPU attribution for the
+   data plane, with collapsed call paths.
 
    Gate discipline is the one [Trace.span_gate] established: a single
    global [bool ref], true exactly while a profile is installed, so every
    instrumented hot path pays one load + test when profiling is off.
    Unlike [Engine.set_profiling], installing a profile never changes the
    event schedule — it only records — so a seeded run is byte-identical
-   with the profiler on or off.
-
-   Threading: notes are designed for the coordinator's lane 0.
-   Worker-domain calls (Shard.post under a multi-domain Coordinator)
-   touch only per-source-shard slots, except the per-destination mailbox
-   watermark, which is monotone and tolerant of a lost update;
-   histograms are only ever fed from lane 0. *)
-
-module Histogram = Vini_std.Histogram
+   with the profiler on or off. *)
 
 (* ---- element-class registry (global, survives install/uninstall) ------ *)
 
@@ -50,18 +41,6 @@ let class_name id =
 let max_stack = 64
 
 type t = {
-  (* shard telemetry (all deterministic, sim-time) *)
-  mutable windows : int;
-  window_hist : Histogram.t; (* granted window width, simulated seconds *)
-  events_per_window : Histogram.t;
-  mutable lookahead_floor_s : float; (* the static plink floor *)
-  mutable shard_events : int array; (* events fired, by shard *)
-  mutable cross_posts : int array; (* cross-shard posts, by source shard *)
-  mutable queue_hwm : int array; (* per-shard event-queue high-watermark *)
-  mutable mailbox_hwm : int array; (* per-dst outbox high-watermark *)
-  (* host-clock telemetry (export-only, never byte-compared) *)
-  barrier_wait_hist : Histogram.t; (* lane-0 seconds blocked per barrier *)
-  (* element attribution *)
   mutable cls_packets : int array; (* packets offered, by class id *)
   stack : int array; (* class ids of the live element frames *)
   path_at : int array; (* interned path id per live frame *)
@@ -78,15 +57,6 @@ type t = {
 
 let create () =
   {
-    windows = 0;
-    window_hist = Histogram.create ();
-    events_per_window = Histogram.create ();
-    lookahead_floor_s = 0.0;
-    shard_events = Array.make 8 0;
-    cross_posts = Array.make 8 0;
-    queue_hwm = Array.make 8 0;
-    mailbox_hwm = Array.make 8 0;
-    barrier_wait_hist = Histogram.create ();
     cls_packets = Array.make 16 0;
     stack = Array.make max_stack 0;
     path_at = Array.make max_stack (-1);
@@ -131,65 +101,9 @@ let grow_float a n =
   Array.blit a 0 bigger 0 (Array.length a);
   bigger
 
-let ensure_shard p shard =
-  if shard >= Array.length p.shard_events then begin
-    p.shard_events <- grow_int p.shard_events (shard + 1);
-    p.cross_posts <- grow_int p.cross_posts (shard + 1);
-    p.queue_hwm <- grow_int p.queue_hwm (shard + 1);
-    p.mailbox_hwm <- grow_int p.mailbox_hwm (shard + 1)
-  end
-
 let ensure_class p id =
   if id >= Array.length p.cls_packets then
     p.cls_packets <- grow_int p.cls_packets (id + 1)
-
-(* ---- shard notes (callers check [gate] first) -------------------------- *)
-
-let note_window ~width_s ~events =
-  match !installed with
-  | None -> ()
-  | Some p ->
-      p.windows <- p.windows + 1;
-      Histogram.add p.window_hist width_s;
-      Histogram.add p.events_per_window (float_of_int events)
-
-let note_floor ~width_s =
-  match !installed with
-  | None -> ()
-  | Some p -> p.lookahead_floor_s <- width_s
-
-let note_shard_events ~shard n =
-  match !installed with
-  | None -> ()
-  | Some p ->
-      ensure_shard p shard;
-      p.shard_events.(shard) <- p.shard_events.(shard) + n
-
-let note_cross_post ~src =
-  match !installed with
-  | None -> ()
-  | Some p ->
-      ensure_shard p src;
-      p.cross_posts.(src) <- p.cross_posts.(src) + 1
-
-let note_queue_depth ~shard depth =
-  match !installed with
-  | None -> ()
-  | Some p ->
-      ensure_shard p shard;
-      if depth > p.queue_hwm.(shard) then p.queue_hwm.(shard) <- depth
-
-let note_mailbox_depth ~shard depth =
-  match !installed with
-  | None -> ()
-  | Some p ->
-      ensure_shard p shard;
-      if depth > p.mailbox_hwm.(shard) then p.mailbox_hwm.(shard) <- depth
-
-let note_barrier_wait s =
-  match !installed with
-  | None -> ()
-  | Some p -> Histogram.add p.barrier_wait_hist s
 
 (* ---- element attribution ----------------------------------------------- *)
 
@@ -267,22 +181,6 @@ let leave cls =
       end
 
 (* ---- read-side --------------------------------------------------------- *)
-
-let windows p = p.windows
-let window_hist p = p.window_hist
-let events_per_window p = p.events_per_window
-let lookahead_floor_s p = p.lookahead_floor_s
-let barrier_wait_hist p = p.barrier_wait_hist
-
-let shard_count p = Array.length p.shard_events
-let shard_events p = Array.copy p.shard_events
-let cross_posts p = Array.copy p.cross_posts
-let queue_hwm p = Array.copy p.queue_hwm
-let mailbox_hwm p = Array.copy p.mailbox_hwm
-
-let cross_posts_total p = Array.fold_left ( + ) 0 p.cross_posts
-let queue_hwm_max p = Array.fold_left max 0 p.queue_hwm
-let mailbox_hwm_max p = Array.fold_left max 0 p.mailbox_hwm
 
 let element_packets_total p = Array.fold_left ( + ) 0 p.cls_packets
 
@@ -371,15 +269,6 @@ let attributed_cost_s p =
   !s
 
 let reset p =
-  p.windows <- 0;
-  Histogram.clear p.window_hist;
-  Histogram.clear p.events_per_window;
-  p.lookahead_floor_s <- 0.0;
-  Array.fill p.shard_events 0 (Array.length p.shard_events) 0;
-  Array.fill p.cross_posts 0 (Array.length p.cross_posts) 0;
-  Array.fill p.queue_hwm 0 (Array.length p.queue_hwm) 0;
-  Array.fill p.mailbox_hwm 0 (Array.length p.mailbox_hwm) 0;
-  Histogram.clear p.barrier_wait_hist;
   Array.fill p.cls_packets 0 (Array.length p.cls_packets) 0;
   p.depth <- 0;
   p.overflow <- 0;

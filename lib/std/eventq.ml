@@ -1,11 +1,9 @@
 (* An array-based binary min-heap ordered by (key, seq), specialised for
-   the simulation engine's event queues.  The calendar queue
-   ({!Calendar}) amortises well on width-matched workloads but pays a
-   window scan per pop and a sorted list insert per push; at the queue
-   depths a VINI deployment sustains (tens to a few hundred pending
-   events) the heap's ~log2 n integer compares win, and [min_key] — the
-   breath-coalescing test the engine runs on every inline-eligible
-   schedule — is a single array load.
+   the simulation engine's event queue.  At the queue depths a VINI
+   deployment sustains (tens to a few hundred pending events) the heap's
+   ~log2 n integer compares beat the calendar queue it replaced, and
+   [min_key] — the breath-coalescing test the engine runs on every
+   inline-eligible schedule — is a single array load.
 
    Layout: the heap itself is three parallel [int] arrays — [keys],
    [seqs], and [slots], the index of each entry's value in [vals].  The
@@ -22,9 +20,8 @@
 
    Determinism: entries carry an insertion sequence number and the heap
    orders by (key, seq), so pop order is exactly FIFO within a timestamp
-   — bit-identical to {!Calendar} and to the binary-heap scheduler before
-   it.  Keys clamp to the same range as {!Calendar} ([0, max_int/2]);
-   clamping preserves (key, seq) order. *)
+   — bit-identical to the calendar and binary-heap schedulers before it.
+   Keys clamp to [0, max_int/2]; clamping preserves (key, seq) order. *)
 
 type 'a t = {
   mutable keys : int array; (* heap position -> key *)

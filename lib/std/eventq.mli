@@ -1,11 +1,11 @@
 (** The engine's event queue: an array-based binary min-heap ordered by
     (key, insertion seq).
 
-    Same contract as {!Calendar} — keys are nanosecond timestamps clamped
-    to [\[0, max_int/2\]], and entries with equal keys pop strictly FIFO,
-    so a seeded simulation is bit-identical whichever queue implementation
-    the engine uses.  The heap wins at the queue depths a deployment
-    sustains (tens to a few hundred pending events).
+    Keys are nanosecond timestamps clamped to [\[0, max_int/2\]], and
+    entries with equal keys pop strictly FIFO, so a seeded simulation is
+    bit-identical to the calendar and binary-heap queues before this one.
+    The heap wins at the queue depths a deployment sustains (tens to a
+    few hundred pending events).
 
     {b Cost.}  The heap arrays hold only ints (key, seq, and the slot of
     each value); values sit still in a slot array recycled through a
@@ -15,7 +15,7 @@
     writes [dummy] back).  {!min_key} is one array load.  {!pop} and
     {!peek} allocate only their option.
 
-    Not thread-safe; one queue per engine or shard. *)
+    Not thread-safe; one queue per engine. *)
 
 type 'a t
 

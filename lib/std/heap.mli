@@ -1,8 +1,7 @@
 (** Array-backed binary min-heap.
 
-    Used by Dijkstra ({!Vini_topo.Graph}) and OSPF's SPF runs; the event
-    queue moved to {!Calendar}, which matches this heap's pop order
-    exactly.  Elements are ordered by a comparison function supplied at
+    Used by OSPF's SPF runs and the embedder's path search, and as the
+    pop-order oracle of {!Eventq}, the engine's event queue.  Elements are ordered by a comparison function supplied at
     creation; ties are broken by insertion order so the heap is stable,
     which keeps simulation runs deterministic when many elements compare
     equal.

@@ -4,8 +4,6 @@
 
 module Time = Vini_sim.Time
 module Engine = Vini_sim.Engine
-module Shard = Vini_sim.Shard
-module Coordinator = Vini_sim.Coordinator
 module Profile = Vini_sim.Profile
 module Timeline = Vini_measure.Timeline
 module Export = Vini_measure.Export
@@ -66,59 +64,6 @@ let test_element_attribution () =
   | other ->
       Alcotest.failf "expected one collapsed path, got %d"
         (List.length other)
-
-(* --- coordinator telemetry ------------------------------------------------ *)
-
-(* The Coordinator is the profiler's only source of windows, per-shard
-   events and cross-shard posts.  Each of four shards fires one local
-   event that posts a handoff to its neighbour; the profile must see
-   them, and installing it must not perturb the schedule (the per-shard
-   logs are identical with and without). *)
-let test_sharded_engine_telemetry () =
-  let run ~profiled =
-    let c =
-      Coordinator.create ~seed:11 ~shards:4 ~domains:1
-        ~lookahead:(fun _ _ -> Some (Time.ms 1))
-        ()
-    in
-    let p = Profile.create () in
-    if profiled then Profile.install p;
-    (* Confinement: each log is written only by its own shard. *)
-    let logs = Array.make 4 [] in
-    let note sh tag =
-      logs.(sh) <- (Shard.now (Coordinator.shard c sh), tag) :: logs.(sh)
-    in
-    for sh = 0 to 3 do
-      let s = Coordinator.shard c sh in
-      ignore
-        (Shard.at s (Time.ms (10 * (sh + 1))) (fun () ->
-             note sh "local";
-             let dst = (sh + 1) mod 4 in
-             ignore
-               (Shard.post s ~dst (Time.ms 200) (fun () ->
-                    note dst (Printf.sprintf "from %d" sh)))))
-    done;
-    Coordinator.run ~until:(Time.sec 1) c;
-    Profile.uninstall ();
-    (Array.map List.rev logs, p)
-  in
-  let logs_off, _ = run ~profiled:false in
-  let logs_on, p = run ~profiled:true in
-  Array.iteri
-    (fun sh log ->
-      check
-        Alcotest.(list (pair int string))
-        (Printf.sprintf "shard %d log unperturbed" sh)
-        log logs_on.(sh))
-    logs_off;
-  check Alcotest.int "every shard fired twice" 8
-    (Array.fold_left (fun acc l -> acc + List.length l) 0 logs_on);
-  check Alcotest.bool "windows recorded" true (Profile.windows p > 0);
-  check Alcotest.int "window hist matches count" (Profile.windows p)
-    (Vini_std.Histogram.count (Profile.events_per_window p));
-  check Alcotest.int "shard events sum to fired" 8
-    (Array.fold_left ( + ) 0 (Profile.shard_events p));
-  check Alcotest.int "cross-shard posts seen" 4 (Profile.cross_posts_total p)
 
 (* --- watermark monotonicity ---------------------------------------------- *)
 
@@ -231,18 +176,42 @@ let test_timeline_roundtrip_escaping () =
    seed reproduces it byte for byte, and the next seed changes it (so the
    comparison could fail). *)
 let test_timeline_seed_byte_identity () =
-  let doc seed =
-    let d, mbps =
-      Vini_repro.Deter.timeline_run ~duration_s:1 ~seed ~interval_ms:250 ()
-    in
-    (Export.to_string d, mbps)
+  let run seed =
+    Vini_repro.Deter.timeline_run ~duration_s:1 ~seed ~interval_ms:250 ()
   in
-  let doc1, mbps1 = doc 7001 in
-  let doc2, mbps2 = doc 7001 in
-  let doc3, _ = doc 7002 in
+  let d1, mbps1 = run 7001 in
+  let d2, mbps2 = run 7001 in
+  let d3, _ = run 7002 in
+  let doc1 = Export.to_string d1 in
   check (Alcotest.float 1e-9) "same throughput" mbps1 mbps2;
-  check Alcotest.string "byte-identical document" doc1 doc2;
-  check Alcotest.bool "seed + 1 differs" true (doc1 <> doc3)
+  check Alcotest.string "byte-identical document" doc1 (Export.to_string d2);
+  check Alcotest.bool "seed + 1 differs" true (doc1 <> Export.to_string d3);
+  (* Every profile.* series must move over the run: one that stays
+     constant is telemetry nothing in an experiment feeds. *)
+  let field name = function
+    | Export.Obj fields -> List.assoc name fields
+    | _ -> Alcotest.fail "timeline document is not an object"
+  in
+  let items = function
+    | Export.Arr l -> l
+    | _ -> Alcotest.fail "timeline field is not an array"
+  in
+  let rows = List.map items (items (field "samples" d1)) in
+  let profiled = ref 0 in
+  List.iteri
+    (fun i name ->
+      match name with
+      | Export.Str n when String.starts_with ~prefix:"profile." n ->
+          incr profiled;
+          (* Column 0 of a row is the sample time. *)
+          let values =
+            List.sort_uniq compare (List.map (fun r -> List.nth r (i + 1)) rows)
+          in
+          check Alcotest.bool (n ^ " takes more than one value") true
+            (List.length values > 1)
+      | _ -> ())
+    (items (field "series" d1));
+  check Alcotest.bool "profile series present" true (!profiled > 0)
 
 (* --- timeline: allocation only at snapshot boundaries -------------------- *)
 
@@ -409,8 +378,6 @@ let test_spans_document_profile_sections () =
 let suite =
   [
     Alcotest.test_case "element attribution" `Quick test_element_attribution;
-    Alcotest.test_case "sharded engine telemetry" `Quick
-      test_sharded_engine_telemetry;
     Alcotest.test_case "watermark monotonicity" `Quick
       test_watermark_monotonicity;
     Alcotest.test_case "timeline roundtrip+escaping" `Quick

@@ -428,222 +428,6 @@ let test_span_attribution_names () =
   check Alcotest.bool "unknown name rejected" true
     (Span.attribution_of_name "warp_drive" = None)
 
-(* ---- the sharded runtime: Shard + Coordinator -------------------------- *)
-
-module Coordinator = Vini_sim.Coordinator
-module Shard = Vini_sim.Shard
-module Rng = Vini_std.Rng
-
-(* A fully connected lookahead with one latency everywhere. *)
-let uniform_lookahead l _src _dst = Some l
-
-let test_coordinator_orders_across_shards () =
-  (* Two shards exchanging posts; each shard keeps its own log (the
-     confinement contract) and the merged log must follow global time. *)
-  let c =
-    Coordinator.create ~shards:2 ~domains:1
-      ~lookahead:(uniform_lookahead (Time.ms 1))
-      ()
-  in
-  let logs = Array.make 2 [] in
-  let note s tag = logs.(s) <- (Shard.now (Coordinator.shard c s), tag) :: logs.(s) in
-  let s0 = Coordinator.shard c 0 and s1 = Coordinator.shard c 1 in
-  ignore
-    (Shard.at s0 (Time.ms 1) (fun () ->
-         note 0 "a";
-         ignore
-           (Shard.post s0 ~dst:1 (Time.ms 5) (fun () ->
-                note 1 "b";
-                ignore (Shard.post s1 ~dst:0 (Time.ms 9) (fun () -> note 0 "c"))))));
-  ignore (Shard.at s1 (Time.ms 7) (fun () -> note 1 "d"));
-  Coordinator.run c;
-  let merged =
-    List.sort compare (List.rev_append logs.(0) logs.(1))
-    |> List.map (fun (t, tag) -> (Time.to_ms_f t, tag))
-  in
-  check
-    Alcotest.(list (pair (float 0.001) string))
-    "global time order"
-    [ (1.0, "a"); (5.0, "b"); (7.0, "d"); (9.0, "c") ]
-    merged;
-  check Alcotest.int "fired" 4 (Coordinator.events_fired c);
-  check Alcotest.int "posts" 2 (Coordinator.posts_sent c);
-  check Alcotest.int "delivered" 2 (Coordinator.messages_delivered c);
-  check Alcotest.int "drained" 0 (Coordinator.pending c)
-
-let test_coordinator_conservative_violation_raises () =
-  let c =
-    Coordinator.create ~shards:2 ~domains:1
-      ~lookahead:(uniform_lookahead (Time.ms 2))
-      ()
-  in
-  let s0 = Coordinator.shard c 0 in
-  let raised = ref false in
-  ignore
-    (Shard.at s0 (Time.ms 10) (fun () ->
-         (* now + 1ms < now + lookahead: would land in the peer's past. *)
-         try ignore (Shard.post s0 ~dst:1 (Time.ms 11) (fun () -> ()))
-         with Invalid_argument _ -> raised := true));
-  Coordinator.run c;
-  check Alcotest.bool "violation rejected" true !raised
-
-let test_coordinator_cross_shard_cancel () =
-  let c =
-    Coordinator.create ~shards:2 ~domains:1
-      ~lookahead:(uniform_lookahead (Time.ms 1))
-      ()
-  in
-  let s0 = Coordinator.shard c 0 and s1 = Coordinator.shard c 1 in
-  let fired = ref [] in
-  (* (1) Cancelled before the barrier ever delivers it. *)
-  let r1 = Shard.post s0 ~dst:1 (Time.ms 5) (fun () -> fired := 1 :: !fired) in
-  Shard.cancel_post s0 r1;
-  check Alcotest.bool "cancelled flag" true (Shard.post_is_cancelled r1);
-  (* (2) Delivered, then cancelled from the posting shard mid-run: the
-     cancellation crosses back at a later barrier, before its fire time. *)
-  let r2 = Shard.post s0 ~dst:1 (Time.ms 50) (fun () -> fired := 2 :: !fired) in
-  ignore
-    (Shard.at s0 (Time.ms 10) (fun () ->
-         (* Several barriers after delivery, 40 ms before it fires. *)
-         Shard.cancel_post s0 r2));
-  (* (3) A survivor, to prove the machinery doesn't over-cancel. *)
-  ignore (Shard.post s0 ~dst:1 (Time.ms 6) (fun () -> fired := 3 :: !fired));
-  (* Something must keep shard 1's horizon moving regardless. *)
-  ignore (Shard.at s1 (Time.ms 60) (fun () -> ()));
-  Coordinator.run c;
-  check Alcotest.(list int) "only the survivor fired" [ 3 ] (List.rev !fired);
-  check Alcotest.bool "late cancel recorded" true (Shard.post_is_cancelled r2);
-  check Alcotest.int "no pending leftovers" 0 (Coordinator.pending c);
-  (* (4) Cancelling a fired post is a no-op. *)
-  let r3 = Shard.post s0 ~dst:1 (Time.add (Coordinator.now c) (Time.ms 5)) (fun () -> ()) in
-  ignore (Shard.at s1 (Time.add (Coordinator.now c) (Time.ms 10)) (fun () -> ()));
-  Coordinator.run c;
-  Shard.cancel_post s0 r3;
-  Coordinator.run c;
-  check Alcotest.int "post-fire cancel is a no-op" 0 (Coordinator.pending c)
-
-(* The seeded churn workload used by the invariance tests: every shard
-   holds a population of events; each firing logs (time, id), does a
-   little RNG-driven thinking, and either reschedules locally or migrates
-   to a random peer one lookahead-plus-jitter later.  All state lives in
-   per-shard array slots — the confinement contract. *)
-let churn_workload c ~nshards ~horizon ~logs =
-  let rec ev s id () =
-    let sh = Coordinator.shard c s in
-    let t = Shard.now sh in
-    logs.(s) <- (t, id) :: logs.(s);
-    let rng = Shard.rng sh in
-    if Time.( < ) t horizon then
-      if Rng.int rng 8 = 0 then begin
-        let dst = (s + 1 + Rng.int rng (nshards - 1)) mod nshards in
-        let dt = Time.add (Time.ms 2) (Time.us (Rng.int rng 500)) in
-        ignore (Shard.post_after sh ~dst dt (ev dst id))
-      end
-      else
-        ignore (Shard.after sh (Time.us (200 + Rng.int rng 800)) (ev s id))
-  in
-  for s = 0 to nshards - 1 do
-    let sh = Coordinator.shard c s in
-    for k = 0 to 3 do
-      ignore
-        (Shard.at sh
-           (Time.us (100 + Rng.int (Shard.rng sh) 900))
-           (ev s ((s * 16) + k)))
-    done
-  done
-
-let sharded_churn_logs ~nshards ~domains ~seed =
-  let c =
-    Coordinator.create ~seed ~shards:nshards ~domains
-      ~lookahead:(uniform_lookahead (Time.ms 2))
-      ()
-  in
-  let logs = Array.make nshards [] in
-  churn_workload c ~nshards ~horizon:(Time.ms 40) ~logs;
-  Coordinator.run c;
-  Array.map List.rev logs
-
-let test_coordinator_domain_invariance () =
-  (* The tentpole acceptance property, in-process: the same seeded
-     workload must produce byte-identical per-shard event logs at 1, 2
-     and 4 domains. *)
-  let oracle = sharded_churn_logs ~nshards:5 ~domains:1 ~seed:11 in
-  List.iter
-    (fun domains ->
-      let got = sharded_churn_logs ~nshards:5 ~domains ~seed:11 in
-      Array.iteri
-        (fun s oracle_log ->
-          check
-            Alcotest.(list (pair int int))
-            (Printf.sprintf "shard %d log at %d domains" s domains)
-            oracle_log got.(s))
-        oracle)
-    [ 2; 4 ]
-
-let prop_sharded_matches_single_domain_oracle =
-  (* Random connected lookahead graphs and random seeded timelines: the
-     sharded run at 2 and 4 domains must equal the 1-domain oracle. *)
-  QCheck.Test.make ~name:"sharded run = single-domain oracle" ~count:30
-    QCheck.(pair (int_range 2 6) (int_bound 100_000))
-    (fun (nshards, seed) ->
-      let topo_rng = Rng.create (seed lxor 0x5eed) in
-      (* A ring keeps it connected; extra chords randomize the shape.
-         Continuous per-pair delays make cross-shard ties improbable. *)
-      let delay = Array.make_matrix nshards nshards None in
-      let set a b d =
-        delay.(a).(b) <- Some d;
-        delay.(b).(a) <- Some d
-      in
-      for s = 0 to nshards - 1 do
-        set s ((s + 1) mod nshards) (Time.us (300 + Rng.int topo_rng 3000))
-      done;
-      for _ = 1 to nshards do
-        let a = Rng.int topo_rng nshards and b = Rng.int topo_rng nshards in
-        if a <> b && delay.(a).(b) = None then
-          set a b (Time.us (300 + Rng.int topo_rng 3000))
-      done;
-      let lookahead s d = delay.(s).(d) in
-      let run domains =
-        let c =
-          Coordinator.create ~seed ~shards:nshards ~domains ~lookahead ()
-        in
-        let logs = Array.make nshards [] in
-        let rec ev s id () =
-          let sh = Coordinator.shard c s in
-          let t = Shard.now sh in
-          logs.(s) <- (t, id) :: logs.(s);
-          let rng = Shard.rng sh in
-          if Time.( < ) t (Time.ms 25) then
-            if Rng.int rng 6 = 0 then begin
-              (* Migrate along an existing channel only. *)
-              let nbrs = ref [] in
-              for d = nshards - 1 downto 0 do
-                if delay.(s).(d) <> None then nbrs := d :: !nbrs
-              done;
-              let nbrs = Array.of_list !nbrs in
-              let dst = nbrs.(Rng.int rng (Array.length nbrs)) in
-              let l = Option.get delay.(s).(dst) in
-              let dt = Time.add l (Time.us (Rng.int rng 700)) in
-              ignore (Shard.post_after sh ~dst dt (ev dst id))
-            end
-            else
-              ignore (Shard.after sh (Time.us (150 + Rng.int rng 600)) (ev s id))
-        in
-        for s = 0 to nshards - 1 do
-          let sh = Coordinator.shard c s in
-          for k = 0 to 2 do
-            ignore
-              (Shard.at sh
-                 (Time.us (50 + Rng.int (Shard.rng sh) 500))
-                 (ev s ((s * 8) + k)))
-          done
-        done;
-        Coordinator.run c;
-        Array.map List.rev logs
-      in
-      let oracle = run 1 in
-      List.for_all (fun domains -> run domains = oracle) [ 2; 4 ])
-
 let suite =
   [
     Alcotest.test_case "time units" `Quick test_time_units;
@@ -681,13 +465,4 @@ let suite =
       test_span_disabled_records_nothing;
     Alcotest.test_case "span attribution names" `Quick
       test_span_attribution_names;
-    Alcotest.test_case "coordinator orders across shards" `Quick
-      test_coordinator_orders_across_shards;
-    Alcotest.test_case "coordinator rejects lookahead violations" `Quick
-      test_coordinator_conservative_violation_raises;
-    Alcotest.test_case "coordinator cross-shard cancel" `Quick
-      test_coordinator_cross_shard_cancel;
-    Alcotest.test_case "coordinator domain invariance" `Quick
-      test_coordinator_domain_invariance;
-    QCheck_alcotest.to_alcotest prop_sharded_matches_single_domain_oracle;
   ]

@@ -1,9 +1,8 @@
-(* Unit and property tests for Vini_std: rng, heap, calendar, eventq,
-   stats, fifo. *)
+(* Unit and property tests for Vini_std: rng, heap, eventq, stats,
+   fifo. *)
 
 module Rng = Vini_std.Rng
 module Heap = Vini_std.Heap
-module Calendar = Vini_std.Calendar
 module Eventq = Vini_std.Eventq
 module Stats = Vini_std.Stats
 module Fifo = Vini_std.Fifo
@@ -131,153 +130,6 @@ let prop_heap_sorts =
         match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
       in
       drain [] = List.sort compare xs)
-
-(* --- calendar ----------------------------------------------------------- *)
-
-let drain_calendar c =
-  let rec go acc =
-    match Calendar.pop c with None -> List.rev acc | Some x -> go (x :: acc)
-  in
-  go []
-
-let test_calendar_sorted_drain () =
-  let c = Calendar.create () in
-  List.iter
-    (fun k -> Calendar.push c ~key:k k)
-    [ 5; 3; 8; 1; 9; 2; 7 ];
-  check Alcotest.(list int) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] (drain_calendar c)
-
-let test_calendar_fifo_ties () =
-  let c = Calendar.create () in
-  List.iter
-    (fun (k, v) -> Calendar.push c ~key:k v)
-    [ (1, "a"); (1, "b"); (0, "z"); (1, "c") ];
-  check Alcotest.(list string) "stable" [ "z"; "a"; "b"; "c" ]
-    (drain_calendar c)
-
-let test_calendar_negative_clamp () =
-  let c = Calendar.create () in
-  Calendar.push c ~key:(-5) "neg";
-  Calendar.push c ~key:0 "zero";
-  (* Clamped to 0, so FIFO between the two decides. *)
-  check Alcotest.(list string) "clamped to 0, fifo" [ "neg"; "zero" ]
-    (drain_calendar c)
-
-let test_calendar_cursor_rewind () =
-  (* A key below everything already popped must still come out first. *)
-  let c = Calendar.create () in
-  Calendar.push c ~key:1_000_000_000 1;
-  check Alcotest.(option int) "first pop" (Some 1) (Calendar.pop c);
-  Calendar.push c ~key:5 2;
-  Calendar.push c ~key:2_000_000_000 3;
-  check Alcotest.(list int) "rewound past pop" [ 2; 3 ] (drain_calendar c)
-
-let test_calendar_resize_adapts () =
-  let c = Calendar.create () in
-  let initial = Calendar.nbuckets c in
-  for i = 1 to 10_000 do
-    Calendar.push c ~key:(i * 1_000) i
-  done;
-  check Alcotest.bool "buckets grew" true (Calendar.nbuckets c > initial);
-  check Alcotest.int "length" 10_000 (Calendar.length c);
-  check Alcotest.(list int) "still sorted" (List.init 10_000 (fun i -> i + 1))
-    (drain_calendar c);
-  check Alcotest.bool "buckets shrank back" true
-    (Calendar.nbuckets c <= initial);
-  check Alcotest.bool "empty" true (Calendar.is_empty c)
-
-let test_calendar_peek_pop_agree () =
-  let c = Calendar.create () in
-  List.iter (fun k -> Calendar.push c ~key:k k) [ 9; 4; 6 ];
-  check Alcotest.(option int) "peek min" (Some 4) (Calendar.peek c);
-  check Alcotest.(option int) "pop same" (Some 4) (Calendar.pop c);
-  check Alcotest.(option int) "next peek" (Some 6) (Calendar.peek c)
-
-let test_calendar_compact () =
-  let c = Calendar.create () in
-  for i = 1 to 100 do
-    Calendar.push c ~key:i i
-  done;
-  let removed = Calendar.compact c ~dead:(fun v -> v mod 3 = 0) in
-  check Alcotest.int "removed count" 33 removed;
-  check Alcotest.int "length updated" 67 (Calendar.length c);
-  check Alcotest.bool "survivors intact" true
-    (List.for_all (fun v -> v mod 3 <> 0) (drain_calendar c))
-
-let test_calendar_clear () =
-  let c = Calendar.create () in
-  Calendar.push c ~key:7 ();
-  Calendar.clear c;
-  check Alcotest.bool "cleared" true (Calendar.is_empty c);
-  check Alcotest.(option unit) "pop empty" None (Calendar.pop c)
-
-(* The determinism contract the engine swap rests on: on any interleaving
-   of schedule/cancel/pop — tie-heavy keys included — the calendar agrees
-   with the stable heap op for op.  Cancellation is modelled the way the
-   engine does it: mark dead, sweep the calendar with [compact], have the
-   heap skip dead entries on pop. *)
-let prop_calendar_matches_heap =
-  let open QCheck in
-  let gen_ops =
-    Gen.(
-      list_size (int_range 200 500)
-        (pair (int_range 0 9) (pair (int_range 0 60) bool)))
-  in
-  Test.make ~name:"calendar pop order = stable heap" ~count:25
-    (make gen_ops) (fun ops ->
-      let cal = Calendar.create () in
-      let heap =
-        Heap.create ~cmp:(fun (k1, s1, _) (k2, s2, _) ->
-            match Int.compare k1 k2 with
-            | 0 -> Int.compare s1 s2
-            | c -> c)
-      in
-      let dead = Hashtbl.create 64 in
-      let next_id = ref 0 in
-      let seq = ref 0 in
-      let ok = ref true in
-      let rec heap_pop_live () =
-        match Heap.pop heap with
-        | None -> None
-        | Some (_, _, id) when Hashtbl.mem dead id -> heap_pop_live ()
-        | Some (_, _, id) -> Some id
-      in
-      List.iter
-        (fun (tag, (k, spread)) ->
-          if tag <= 4 then begin
-            (* Schedule: tie-dense small keys, or spread out over ms. *)
-            let key = if spread then k * 1_000_037 else k in
-            let id = !next_id in
-            incr next_id;
-            incr seq;
-            Calendar.push cal ~key id;
-            Heap.push heap (key, !seq, id)
-          end
-          else if tag <= 6 && !next_id > 0 then begin
-            (* Cancel a random id; sweep the calendar immediately. *)
-            Hashtbl.replace dead (k * 7 mod !next_id) ();
-            ignore (Calendar.compact cal ~dead:(Hashtbl.mem dead))
-          end
-          else begin
-            match heap_pop_live () with
-            | None -> ok := !ok && Calendar.pop cal = None
-            | Some id ->
-                (* The calendar may still hold dead entries the heap model
-                   skipped; it was just compacted on cancel, so it holds
-                   exactly the live set. *)
-                ok := !ok && Calendar.pop cal = Some id
-          end)
-        ops;
-      (* Drain the rest. *)
-      let rec drain () =
-        match heap_pop_live () with
-        | None -> ok := !ok && Calendar.pop cal = None
-        | Some id ->
-            ok := !ok && Calendar.pop cal = Some id;
-            drain ()
-      in
-      drain ();
-      !ok)
 
 (* --- eventq -------------------------------------------------------------- *)
 
@@ -618,16 +470,6 @@ let suite =
     Alcotest.test_case "heap peek/length/clear" `Quick test_heap_peek_length;
     Alcotest.test_case "heap pop_exn raises" `Quick test_heap_pop_exn;
     QCheck_alcotest.to_alcotest prop_heap_sorts;
-    Alcotest.test_case "calendar sorted drain" `Quick test_calendar_sorted_drain;
-    Alcotest.test_case "calendar fifo ties" `Quick test_calendar_fifo_ties;
-    Alcotest.test_case "calendar clamps negative keys" `Quick
-      test_calendar_negative_clamp;
-    Alcotest.test_case "calendar cursor rewind" `Quick test_calendar_cursor_rewind;
-    Alcotest.test_case "calendar resize adapts" `Quick test_calendar_resize_adapts;
-    Alcotest.test_case "calendar peek/pop agree" `Quick test_calendar_peek_pop_agree;
-    Alcotest.test_case "calendar compact" `Quick test_calendar_compact;
-    Alcotest.test_case "calendar clear" `Quick test_calendar_clear;
-    QCheck_alcotest.to_alcotest prop_calendar_matches_heap;
     QCheck_alcotest.to_alcotest prop_eventq_matches_heap;
     Alcotest.test_case "eventq releases popped values" `Quick
       test_eventq_releases_values;

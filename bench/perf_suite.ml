@@ -19,7 +19,7 @@ module Export = Vini_measure.Export
 module Heap = Vini_std.Heap
 module Rng = Vini_std.Rng
 module Fib = Vini_click.Fib
-module Fib_reference = Vini_click.Fib_reference
+module Fib_reference = Vini_oracle.Fib_reference
 module Addr = Vini_net.Addr
 module Prefix = Vini_net.Prefix
 

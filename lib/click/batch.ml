@@ -79,7 +79,6 @@ let exchange t full =
 let length t = t.len
 let capacity t = Array.length t.slots
 let is_empty t = t.len = 0
-let is_full t = t.len = Array.length t.slots
 
 let clear t =
   t.len <- 0;

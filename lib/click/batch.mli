@@ -63,7 +63,6 @@ val exchange : t -> Vini_net.Packet.t array -> Vini_net.Packet.t array
 val length : t -> int
 val capacity : t -> int
 val is_empty : t -> bool
-val is_full : t -> bool
 
 val clear : t -> unit
 (** Empty the batch (length 0).  Slot references are retained until

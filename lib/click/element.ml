@@ -11,7 +11,6 @@ type t = {
   mutable packets : int;
   mutable bytes : int;
   mutable drops : int;
-  mutable drop_reasons : (string * int ref) list;
 }
 
 let make name f =
@@ -23,7 +22,6 @@ let make name f =
     packets = 0;
     bytes = 0;
     drops = 0;
-    drop_reasons = [];
   }
 
 let make_batch name ~single ~batch =
@@ -35,7 +33,6 @@ let make_batch name ~single ~batch =
     packets = 0;
     bytes = 0;
     drops = 0;
-    drop_reasons = [];
   }
 
 (* Per-packet observability, shared by both entry points so a packet's
@@ -100,9 +97,6 @@ let push_batch t b =
 
 let drop t ~reason pkt =
   t.drops <- t.drops + 1;
-  (match List.assoc_opt reason t.drop_reasons with
-  | Some r -> incr r
-  | None -> t.drop_reasons <- (reason, ref 1) :: t.drop_reasons);
   if Trace.on Trace.Category.Packet_drop then
     Trace.emit ~severity:Trace.Warn ~component:t.name
       (Trace.Packet_drop { reason; bytes = Packet.size pkt });
@@ -114,9 +108,6 @@ let name t = t.name
 let packets t = t.packets
 let bytes t = t.bytes
 let drops t = t.drops
-
-let drop_reasons t =
-  List.sort compare (List.map (fun (r, n) -> (r, !n)) t.drop_reasons)
 
 let pump ring ~into ~out ~max =
   Batch.clear into;
@@ -137,24 +128,19 @@ let classifier name ~rules ~default =
       in
       fire rules)
 
-let queue name ?(capacity_packets = max_int) ?(capacity_bytes = max_int) ~out
-    () =
-  let occupancy_packets = ref 0 and occupancy_bytes = ref 0 in
+let queue name ?(capacity_bytes = max_int) ~out () =
+  let occupancy_bytes = ref 0 in
   let rec t =
     lazy
       (make name (fun pkt ->
            let size = Packet.size pkt in
-           if
-             !occupancy_packets >= capacity_packets
-             || !occupancy_bytes + size > capacity_bytes
-           then drop (Lazy.force t) ~reason:"queue-overflow" pkt
+           if !occupancy_bytes + size > capacity_bytes then
+             drop (Lazy.force t) ~reason:"queue-overflow" pkt
            else begin
              (* Synchronous drain: occupancy spikes and falls within the
                 same processing step. *)
-             incr occupancy_packets;
              occupancy_bytes := !occupancy_bytes + size;
              push out pkt;
-             decr occupancy_packets;
              occupancy_bytes := !occupancy_bytes - size
            end))
   in

@@ -64,8 +64,8 @@ val pump : Ring.t -> into:Batch.t -> out:t -> max:int -> int
     burst through a whole chain. *)
 
 val drop : t -> reason:string -> Vini_net.Packet.t -> unit
-(** Count a drop under [reason] (and emit a [Packet_drop] trace event when
-    that category is live).  The packet is {e not} forwarded. *)
+(** Count a drop, and record [reason] on the [Packet_drop] trace event and
+    the drop span when those are live.  The packet is {e not} forwarded. *)
 
 val name : t -> string
 val packets : t -> int
@@ -73,9 +73,6 @@ val bytes : t -> int
 
 val drops : t -> int
 (** Total drops recorded via {!drop}, any reason. *)
-
-val drop_reasons : t -> (string * int) list
-(** Per-reason drop counts, sorted by reason. *)
 
 val discard : string -> t
 (** Count-and-drop sink. *)
@@ -87,7 +84,7 @@ val classifier :
   string -> rules:((Vini_net.Packet.t -> bool) * t) list -> default:t -> t
 (** First matching rule wins. *)
 
-val queue : string -> ?capacity_packets:int -> ?capacity_bytes:int -> out:t -> unit -> t
+val queue : string -> ?capacity_bytes:int -> out:t -> unit -> t
 (** Drop-tail queue that forwards immediately (occupancy is transient in
     the synchronous data plane, but drops still enforce the bound and the
     counters feed tests). *)

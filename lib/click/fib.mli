@@ -15,13 +15,13 @@
     answers in O(1); any {!add}/{!remove}/{!clear} invalidates the whole
     cache in O(1) by bumping a generation counter, so a stale entry can
     never be served after a route change.  {!cache_hits}/{!cache_misses}
-    expose the cache's effectiveness (exported via
-    [Vini_measure.Monitor.watch_fib]).
+    expose the cache's effectiveness (exported per virtual node via
+    [Vini_overlay.Iias.fib_cache_stats]).
 
     {b Determinism.}  Lookup answers are a pure function of the table
     contents (the cache is a transparent memo), and match the reference
-    one-bit-per-node trie {!Fib_reference} bit for bit — property-tested
-    on randomized tables. *)
+    one-bit-per-node trie [Vini_oracle.Fib_reference] (test/oracle/) bit
+    for bit — property-tested on randomized tables. *)
 
 type 'a t
 

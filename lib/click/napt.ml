@@ -18,12 +18,12 @@ type t = {
   mutable next_port : int;
 }
 
-let create ~public_addr ?(port_base = 61000) () =
+let create ~public_addr () =
   {
     public_addr;
     out_map = Hashtbl.create 64;
     in_map = Hashtbl.create 64;
-    next_port = port_base;
+    next_port = 61000;
   }
 
 let alloc t key =

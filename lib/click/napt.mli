@@ -9,7 +9,7 @@
 
 type t
 
-val create : public_addr:Vini_net.Addr.t -> ?port_base:int -> unit -> t
+val create : public_addr:Vini_net.Addr.t -> unit -> t
 
 val translate_out : t -> Vini_net.Packet.t -> Vini_net.Packet.t option
 (** Rewrite an overlay packet for the outside; [None] for untranslatable

@@ -18,12 +18,10 @@ type t = {
   net : Vini.t;
   period : Time.t;
   threshold : float;
-  backoff : int;
   budget : int;
   mutable streak : int;  (* consecutive fruitless sweeps *)
   mutable sweeps : int;
   mutable moves : int;
-  mutable fruitless : int;
   mutable gave_up : bool;
   mutable stopped : bool;
 }
@@ -96,35 +94,30 @@ and sweep t =
     end
     else begin
       t.streak <- t.streak + 1;
-      t.fruitless <- t.fruitless + 1;
       if t.streak >= t.budget then t.gave_up <- true
       else begin
         let d = ref t.period in
         for _ = 1 to t.streak do
-          d := Time.mul !d t.backoff
+          d := Time.mul !d 2
         done;
         schedule t !d
       end
     end
   end
 
-let attach ?(period = Time.sec 5) ?(threshold = 0.75) ?(backoff = 2)
-    ?(budget = 3) net =
+let attach ?(period = Time.sec 5) ?(threshold = 0.75) ?(budget = 3) net =
   if threshold <= 0.0 || threshold >= 1.0 then
     invalid_arg "Defrag.attach: threshold outside (0,1)";
-  if backoff < 1 then invalid_arg "Defrag.attach: backoff must be >= 1";
   if budget < 1 then invalid_arg "Defrag.attach: budget must be >= 1";
   let t =
     {
       net;
       period;
       threshold;
-      backoff;
       budget;
       streak = 0;
       sweeps = 0;
       moves = 0;
-      fruitless = 0;
       gave_up = false;
       stopped = false;
     }
@@ -135,6 +128,5 @@ let attach ?(period = Time.sec 5) ?(threshold = 0.75) ?(backoff = 2)
 let stop t = t.stopped <- true
 let sweeps t = t.sweeps
 let moves_started t = t.moves
-let fruitless_sweeps t = t.fruitless
 let gave_up t = t.gave_up
 let active t = not (t.stopped || t.gave_up)

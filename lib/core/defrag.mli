@@ -13,7 +13,7 @@
     move.
 
     Sweeps that find no profitable move back off exponentially
-    ([period * backoff^streak]) and after [budget] consecutive fruitless
+    ([period * 2^streak]) and after [budget] consecutive fruitless
     sweeps the defragmenter gives up for good — it never thrashes a
     substrate it cannot improve.  All scheduling is deterministic: sweeps
     draw nothing from the RNG, candidates are examined in a fixed order
@@ -25,25 +25,23 @@ type t
 val attach :
   ?period:Vini_sim.Time.t ->
   ?threshold:float ->
-  ?backoff:int ->
   ?budget:int ->
   Vini.t ->
   t
 (** Attach a defragmenter and schedule its first sweep one [period]
     (default 5 s) from now.  [threshold] (default 0.75) is the
     utilisation fraction above which a machine is considered stressed;
-    [backoff] (default 2) multiplies the sweep period per consecutive
-    fruitless sweep; [budget] (default 3) is the fruitless-sweep count
-    after which the defragmenter gives up.
-    @raise Invalid_argument for [threshold] outside (0,1), [backoff] < 1
-    or [budget] < 1. *)
+    each consecutive fruitless sweep doubles the sweep period; [budget]
+    (default 3) is the fruitless-sweep count after which the
+    defragmenter gives up.
+    @raise Invalid_argument for [threshold] outside (0,1) or
+    [budget] < 1. *)
 
 val stop : t -> unit
 (** Stop sweeping (idempotent; in-flight migrations settle normally). *)
 
 val sweeps : t -> int
 val moves_started : t -> int
-val fruitless_sweeps : t -> int
 
 val gave_up : t -> bool
 (** The give-up budget was exhausted; no further sweeps will run. *)

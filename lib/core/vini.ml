@@ -72,13 +72,11 @@ and t = {
   engine : Engine.t;
   under : Underlay.t;
   substrate : Substrate.t;
-  reembed_delay : Time.t;
   mutable deployed : instance list;
   mutable next_tunnel_port : int;
 }
 
-let create ~engine ~graph ?profile ?mask_failures
-    ?(reembed_delay = Time.ms 500) () =
+let create ~engine ~graph ?profile ?mask_failures () =
   let rng = Vini_std.Rng.split (Engine.rng engine) in
   let under =
     Underlay.create ~engine ~rng ~graph ?profile ?mask_failures ()
@@ -88,7 +86,6 @@ let create ~engine ~graph ?profile ?mask_failures
       engine;
       under;
       substrate = Substrate.of_underlay under;
-      reembed_delay;
       deployed = [];
       next_tunnel_port = 33000;
     }
@@ -112,6 +109,8 @@ let run ?until t = Engine.run ?until t.engine
 
 let is_deployed inst = List.exists (fun i -> i == inst) inst.owner.deployed
 
+let reembed_delay = Time.ms 500
+
 (* A dead machine's virtual node waits [reembed_delay] — the grace period
    in which a reboot lets the supervisor restart in place — then, if the
    machine is still down, is re-embedded onto a feasible surviving node
@@ -127,7 +126,7 @@ let rec attempt_reembed inst v =
       (* A live migration's double-provisioned accounting is in flight;
          settle it first, then retry. *)
       ignore
-        (Engine.after t.engine t.reembed_delay (fun () ->
+        (Engine.after t.engine reembed_delay (fun () ->
              attempt_reembed inst v))
     else
       let p = Iias.current_pnode inst.overlay v in
@@ -191,7 +190,7 @@ let rec restore_parked inst p =
   if is_deployed inst && inst.parked <> [] then
     if inst.pending_moves <> [] then
       ignore
-        (Engine.after t.engine t.reembed_delay (fun () ->
+        (Engine.after t.engine reembed_delay (fun () ->
              restore_parked inst p))
     else
       match (inst.mapping, inst.areq) with
@@ -234,7 +233,7 @@ let schedule_reembed inst p =
         if not (Hashtbl.mem inst.down_since v) then
           Hashtbl.replace inst.down_since v (Engine.now t.engine);
         ignore
-          (Engine.after t.engine t.reembed_delay (fun () ->
+          (Engine.after t.engine reembed_delay (fun () ->
                attempt_reembed inst v))
       end)
     (Iias.current_embedding inst.overlay)

@@ -43,13 +43,12 @@ val create :
   graph:Vini_topo.Graph.t ->
   ?profile:(Vini_topo.Graph.node_id -> Vini_phys.Underlay.node_profile) ->
   ?mask_failures:bool ->
-  ?reembed_delay:Vini_sim.Time.t ->
   unit ->
   t
-(** [reembed_delay] (default 500 ms) is the grace period after a machine
-    death before an auto-placed experiment re-embeds the displaced
-    virtual node elsewhere — a machine that reboots within it is simply
-    restarted in place by the supervisor.  A death whose own timeline
+(** After a machine death, an auto-placed experiment waits a 500 ms
+    grace period before it re-embeds the displaced virtual node
+    elsewhere — a machine that reboots within it is simply restarted in
+    place by the supervisor.  A death whose own timeline
     schedules a later {!Experiment.Restore_pnode} for the same virtual
     node is planned downtime and never triggers a re-embed. *)
 
@@ -72,14 +71,7 @@ val deploy : t -> Experiment.spec -> instance
     residual capacities and its reservation committed.
     @raise Invalid_argument when the spec fails validation, a physical
     node would host two virtual nodes of the same experiment, or an
-    auto placement is rejected (use {!try_deploy} to handle rejections
-    structurally). *)
-
-val try_deploy :
-  t -> Experiment.spec -> (instance, Vini_embed.Embed.rejection) result
-(** Like {!deploy} but admission-control rejections of [Auto] placements
-    come back as structured values instead of an exception.  Spec
-    validation errors still raise [Invalid_argument]. *)
+    auto placement is rejected. *)
 
 val undeploy : t -> instance -> unit
 (** Tear the experiment down from the embedding layer's point of view:

@@ -114,7 +114,8 @@ let max_node_stress t =
     t.caps;
   !m
 
-let residual_histogram ?(buckets = 10) t =
+let residual_histogram t =
+  let buckets = 10 in
   let counts = Array.make buckets 0 in
   Array.iteri
     (fun i cap ->

@@ -70,7 +70,7 @@ val max_node_stress : t -> float
     substrate — the balance figure the background defragmenter watches
     and migration-quality records report. *)
 
-val residual_histogram : ?buckets:int -> t -> (float * float * int) array
+val residual_histogram : t -> (float * float * int) array
 (** Histogram of per-node residual CPU {e fractions} (residual/capacity)
-    over [buckets] equal-width bins of [0,1] (default 10): the
+    over 10 equal-width bins of [0,1]: the
     residual-capacity distribution exported in [vini.embed/1]. *)

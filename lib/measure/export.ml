@@ -21,7 +21,6 @@ let member = Vini_std.Json.member
 let to_list = Vini_std.Json.to_list
 let to_float = Vini_std.Json.to_float
 let to_str = Vini_std.Json.to_str
-let num_to_string = Vini_std.Json.num_to_string
 
 (* ---- the stable export schema ------------------------------------------ *)
 
@@ -362,43 +361,6 @@ let write ~path j =
   output_string oc (to_string j);
   output_char oc '\n';
   close_out oc
-
-(* ---- CSV ---------------------------------------------------------------- *)
-
-let csv_cell s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
-let series_csv m =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "name,kind,time_s,value\n";
-  List.iter
-    (fun name ->
-      let kind = Monitor.series_kind_name (Monitor.kind m ~name) in
-      List.iter
-        (fun (t, v) ->
-          Buffer.add_string b
-            (Printf.sprintf "%s,%s,%s,%s\n" (csv_cell name) kind
-               (num_to_string t) (num_to_string v)))
-        (Monitor.series m ~name))
-    (Monitor.names m);
-  Buffer.contents b
-
-let trace_csv tr =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "time_s,category,severity,component,detail\n";
-  List.iter
-    (fun (ev : Trace.event) ->
-      Buffer.add_string b
-        (Printf.sprintf "%s,%s,%s,%s,%s\n"
-           (num_to_string (Vini_sim.Time.to_sec_f ev.Trace.time))
-           (Trace.Category.name (Trace.category_of_kind ev.Trace.kind))
-           (Trace.severity_name ev.Trace.severity)
-           (csv_cell ev.Trace.component)
-           (csv_cell (Trace.kind_detail ev.Trace.kind))))
-    (Trace.events tr);
-  Buffer.contents b
 
 (* ---- vini.embed/1 ------------------------------------------------------- *)
 

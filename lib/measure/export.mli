@@ -41,11 +41,6 @@ val to_str : json -> string option
 
 val schema_version : string
 
-val series_json : Monitor.t -> json
-val histogram_json : name:string -> Vini_std.Histogram.t -> json
-val histograms_json : Monitor.t -> json
-val trace_json : Vini_sim.Trace.t -> json
-
 val document :
   ?trace:Vini_sim.Trace.t -> ?extra:(string * json) list -> Monitor.t list -> json
 (** The full schema above: every monitor's series and histograms
@@ -145,16 +140,7 @@ val embed_document :
 
 val write : path:string -> json -> unit
 
-val series_csv : Monitor.t -> string
-(** "name,kind,time_s,value" rows. *)
-
-val trace_csv : Vini_sim.Trace.t -> string
-(** "time_s,category,severity,component,detail" rows. *)
-
 (** {2 The [vini.scenario/1] document} *)
-
-val scenario_schema_version : string
-(** ["vini.scenario/1"]. *)
 
 val scenario_document :
   ?name:string ->

@@ -106,12 +106,6 @@ let watch_engine t ?(prefix = "engine") engine =
   histogram t ~name:(prefix ^ ".horizon_s") (Engine.horizon_hist engine);
   histogram t ~name:(prefix ^ ".callback_s") (Engine.callback_hist engine)
 
-let watch_fib t ~prefix fib =
-  counter t ~name:(prefix ^ ".lpm_cache_hits") (fun () ->
-      float_of_int (Vini_click.Fib.cache_hits fib));
-  counter t ~name:(prefix ^ ".lpm_cache_misses") (fun () ->
-      float_of_int (Vini_click.Fib.cache_misses fib))
-
 let watch_cpu t ~prefix cpu =
   histogram t ~name:(prefix ^ ".wake_s") (Vini_phys.Cpu.wake_latency_hist cpu)
 

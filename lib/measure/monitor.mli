@@ -53,10 +53,6 @@ val watch_vnode : t -> Vini_overlay.Iias.vnode -> prefix:string -> unit
     [<prefix>.fib_memo_hits/_lookups] and [<prefix>.breaths] for an IIAS
     virtual node (all counters). *)
 
-val watch_fib : t -> prefix:string -> 'a Vini_click.Fib.t -> unit
-(** [<prefix>.lpm_cache_hits] / [.lpm_cache_misses] counters of a FIB's
-    per-destination flow cache. *)
-
 val watch_engine : t -> ?prefix:string -> Vini_sim.Engine.t -> unit
 (** [<prefix>.fired], [.cancelled], [.pending], [.max_pending] series and
     the [.horizon_s] / [.callback_s] histograms (prefix default

@@ -12,9 +12,6 @@ val create : Vini_sim.Engine.t -> t
 val attach : t -> Vini_transport.Tcp.t -> unit
 (** Capture segments arriving at (and bytes delivered by) this endpoint. *)
 
-val record_packet : t -> Vini_net.Packet.t -> unit
-(** Manual capture point for non-TCP packets. *)
-
 val cumulative_bytes : t -> (float * int) list
 (** (seconds, total in-order bytes delivered so far), per delivery event. *)
 

@@ -13,10 +13,7 @@ type t = {
   stack : Ipstack.t;
   engine : Engine.t;
   dst : Vini_net.Addr.t;
-  max_ttl : int;
-  probe_timeout : Time.t;
   ident : int;
-  on_done : hop list -> unit;
   mutable current_ttl : int;
   mutable sent_at : Time.t;
   mutable timeout_h : Engine.handle option;
@@ -26,16 +23,17 @@ type t = {
 }
 
 let next_ident = ref 0x6000
+let max_ttl = 30
+let probe_timeout = Time.sec 1
 
 let finish t =
   if not t.finished then begin
     t.finished <- true;
-    (match t.timeout_h with Some h -> Engine.cancel h | None -> ());
-    t.on_done (List.rev t.hops_rev)
+    match t.timeout_h with Some h -> Engine.cancel h | None -> ()
   end
 
 let rec probe t =
-  if t.current_ttl > t.max_ttl || t.reached then finish t
+  if t.current_ttl > max_ttl || t.reached then finish t
   else begin
     t.sent_at <- Engine.now t.engine;
     let echo =
@@ -52,7 +50,7 @@ let rec probe t =
          ~dst:t.dst echo);
     t.timeout_h <-
       Some
-        (Engine.after t.engine t.probe_timeout (fun () ->
+        (Engine.after t.engine probe_timeout (fun () ->
              t.timeout_h <- None;
              record t None))
   end
@@ -65,18 +63,14 @@ and record t responder =
   t.current_ttl <- t.current_ttl + 1;
   probe t
 
-let start ~stack ~dst ?(max_ttl = 30) ?(probe_timeout = Time.sec 1)
-    ?(on_done = fun _ -> ()) () =
+let start ~stack ~dst () =
   incr next_ident;
   let t =
     {
       stack;
       engine = Ipstack.engine stack;
       dst;
-      max_ttl;
-      probe_timeout;
       ident = !next_ident;
-      on_done;
       current_ttl = 1;
       sent_at = Time.zero;
       timeout_h = None;

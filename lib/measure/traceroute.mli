@@ -17,13 +17,10 @@ type t
 val start :
   stack:Vini_phys.Ipstack.t ->
   dst:Vini_net.Addr.t ->
-  ?max_ttl:int ->
-  ?probe_timeout:Vini_sim.Time.t ->
-  ?on_done:(hop list -> unit) ->
   unit ->
   t
-(** One probe per TTL, sequentially; finishes when the destination
-    answers or [max_ttl] (default 30) is exhausted. *)
+(** One probe per TTL, sequentially, each timing out after 1 s; finishes
+    when the destination answers or TTL 30 is exhausted. *)
 
 val hops : t -> hop list
 val reached : t -> bool

@@ -46,5 +46,4 @@ let succ t = if t = max_addr then 0 else t + 1
 let add t n = (t + n) land max_addr
 let any = 0
 let broadcast = max_addr
-let localhost = of_octets 127 0 0 1
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -26,6 +26,5 @@ val succ : t -> t (* Next address, wrapping at 255.255.255.255. *)
 val add : t -> int -> t
 val any : t (* 0.0.0.0 *)
 val broadcast : t (* 255.255.255.255 *)
-val localhost : t (* 127.0.0.1 *)
 
 val pp : Format.formatter -> t -> unit

@@ -75,23 +75,19 @@ and t = private {
   len : int;            (** cached total datagram size; read via {!size} *)
 }
 
-val default_ttl : int
-
 val udp :
   ?ttl:int -> ?orig:int -> src:Addr.t -> dst:Addr.t -> sport:int ->
   dport:int -> body -> t
 val tcp : ?ttl:int -> ?orig:int -> src:Addr.t -> dst:Addr.t -> tcp -> t
 val icmp : ?ttl:int -> ?orig:int -> src:Addr.t -> dst:Addr.t -> icmp -> t
-(** [?orig] overrides the provenance id (default: the fresh packet's own
-    id).  Pass [inner.orig] at encapsulation sites and the offending
-    packet's [orig] when generating ICMP errors. *)
+(** [?ttl] defaults to 64.  [?orig] overrides the provenance id (default:
+    the fresh packet's own id).  Pass [inner.orig] at encapsulation sites
+    and the offending packet's [orig] when generating ICMP errors. *)
 
 val size : t -> int
 (** Total IP datagram size in bytes (header + nested contents).  O(1):
     the length is computed at construction and cached in {!field-len},
     because every element and link charges bytes per hop. *)
-
-val body_size : body -> int
 
 val decr_ttl : t -> t option
 (** [None] when the TTL would reach zero (caller sends Time_exceeded). *)

@@ -1,4 +1,3 @@
-let eth_header = 14
 let ipv4_header = 20
 let udp_header = 8
 let tcp_header = 20

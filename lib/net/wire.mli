@@ -5,7 +5,6 @@
     delays and encapsulation overheads (a central concern of the paper's
     microbenchmarks) are faithful. *)
 
-val eth_header : int (* 14 bytes *)
 val ipv4_header : int (* 20 bytes, no options *)
 val udp_header : int (* 8 bytes *)
 val tcp_header : int (* 20 bytes, no options *)

@@ -633,9 +633,6 @@ let create ~underlay ~slice ~vtopo ~embedding ?(routing = default_ospf)
 let vnode_count t = Array.length t.vnodes
 let vnode t i = t.vnodes.(i)
 
-let vnode_by_name t n =
-  t.vnodes.(Graph.id_of_name t.vtopo n)
-
 let assert_not_started t what =
   if t.started then invalid_arg ("Iias: " ^ what ^ " must precede start")
 
@@ -847,9 +844,6 @@ let migration_grace t v =
   | Some pm -> pm.pm_flipped
   | None -> false
 
-let migration_target t v =
-  Option.map (fun pm -> pm.pm_target) (Hashtbl.find_opt t.pending_migs v)
-
 (* Drops attributable to the vnode across a migration window: its own
    data-plane drop counters plus the receive-buffer drops of both the old
    and the replacement process. *)
@@ -1022,8 +1016,6 @@ let tunnel_between t a b =
   | Some tun -> tun
   | None -> raise Not_found
 
-let iface_addr t v ~neighbor = (tunnel_between t v neighbor).local_vaddr
-
 let set_vlink_state t a b up =
   let mode = if up then Faulty.Pass else Faulty.Fail in
   Faulty.set_mode (tunnel_between t a b).faulty mode;
@@ -1091,11 +1083,6 @@ let add_static t v prefix ~via =
     (Some { Rib.next_hop = tun.remote_vaddr; metric = 1; proto = Rib.Static })
 
 let on_control vn f = vn.control_hooks <- vn.control_hooks @ [ f ]
-
-let control_iface vn ~neighbor =
-  match List.find_opt (fun tun -> tun.nbr = neighbor) vn.tunnels with
-  | Some tun -> tun.iface
-  | None -> raise Not_found
 
 let alloc_vpn_addr t v =
   let vn = t.vnodes.(v) in

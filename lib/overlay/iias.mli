@@ -169,9 +169,6 @@ val migration_grace : t -> int -> bool
     in which the watchdog suppresses loop/blackhole/FIB-consistency
     alarms for it ({!Vini_measure.Watchdog}). *)
 
-val migration_target : t -> int -> int option
-(** Target physical node of the in-flight migration, if any. *)
-
 val current_pnode : t -> int -> int
 (** Physical node currently hosting a virtual node (differs from the
     deploy-time embedding after migrations). *)
@@ -183,7 +180,6 @@ val vnode_alive : vnode -> bool
 
 val vnode_count : t -> int
 val vnode : t -> int -> vnode
-val vnode_by_name : t -> string -> vnode
 
 (** {2 Per-virtual-node access} *)
 
@@ -209,10 +205,6 @@ val ospf : vnode -> Vini_routing.Ospf.t option
 val rip : vnode -> Vini_routing.Rip.t option
 val fib_entries : vnode -> (Vini_net.Prefix.t * string) list
 val pnode : vnode -> Vini_phys.Pnode.t
-
-val iface_addr : t -> int -> neighbor:int -> Vini_net.Addr.t
-(** Virtual address of node [v]'s interface towards [neighbor].
-    @raise Not_found when not adjacent. *)
 
 (** {2 Experiment control} *)
 
@@ -256,10 +248,6 @@ val on_control :
 (** Additional control-message listener (e.g. BGP sessions riding the
     overlay); [src] is the sending virtual address, so multiple sessions
     on one node can demultiplex. *)
-
-val control_iface : vnode -> neighbor:int -> Vini_routing.Io.iface
-(** The interface record towards a neighbour, for wiring extra protocols.
-    @raise Not_found when not adjacent. *)
 
 val alloc_vpn_addr : t -> int -> Vini_net.Addr.t
 (** Next free client address from an ingress node's pool. *)

@@ -6,15 +6,15 @@ module Ipstack = Vini_phys.Ipstack
 type t = {
   host : Pnode.t;
   server : Addr.t;
-  server_port : int;
   client_port : int;
   tun : Ipstack.t;
   client_vaddr : Addr.t;
-  mutable sent : int;
-  mutable received : int;
 }
 
-let connect ~host ~server ?(server_port = 1194) ~vaddr () =
+(* The ingress listens here ([Iias]'s [vpn_port]). *)
+let server_port = 1194
+
+let connect ~host ~server ~vaddr () =
   let host_stack = Pnode.stack host in
   let client_port = Ipstack.alloc_ephemeral host_stack in
   let rec t =
@@ -22,7 +22,6 @@ let connect ~host ~server ?(server_port = 1194) ~vaddr () =
       {
         host;
         server;
-        server_port;
         client_port;
         tun =
           Ipstack.create
@@ -30,28 +29,23 @@ let connect ~host ~server ?(server_port = 1194) ~vaddr () =
             ~local_addr:vaddr
             ~tx:(fun inner ->
               let t = Lazy.force t in
-              t.sent <- t.sent + 1;
               (* OpenVPN ingress: outer frame continues the inner
                  packet's causal tree. *)
               let outer =
                 Packet.udp ~orig:inner.Packet.orig ~src:(Pnode.addr t.host)
-                  ~dst:t.server ~sport:t.client_port ~dport:t.server_port
+                  ~dst:t.server ~sport:t.client_port ~dport:server_port
                   (Packet.Vpn inner)
               in
               Pnode.send t.host outer)
             ();
         client_vaddr = vaddr;
-        sent = 0;
-        received = 0;
       }
   in
   let t = Lazy.force t in
   (* Return traffic: decapsulate and hand to the tun stack. *)
   Ipstack.bind_udp host_stack ~port:client_port (fun outer ->
       match outer.Packet.proto with
-      | Packet.Udp { body = Packet.Vpn inner; _ } ->
-          t.received <- t.received + 1;
-          Ipstack.deliver t.tun inner
+      | Packet.Udp { body = Packet.Vpn inner; _ } -> Ipstack.deliver t.tun inner
       | Packet.Udp _ | Packet.Tcp _ | Packet.Icmp _ -> ());
   (* Greet the ingress so it learns where this client lives: a packet to
      our own overlay address bounces off the ingress and back. *)
@@ -62,8 +56,6 @@ let connect ~host ~server ?(server_port = 1194) ~vaddr () =
 
 let stack t = t.tun
 let vaddr t = t.client_vaddr
-let packets_sent t = t.sent
-let packets_received t = t.received
 
 (* The opt-in tunnel's wire cost for bulk traffic: the payload is
    packetised at the Ethernet MTU (inner IPv4 header included) and every

@@ -12,22 +12,19 @@ type t
 val connect :
   host:Vini_phys.Pnode.t ->
   server:Vini_net.Addr.t ->
-  ?server_port:int ->
   vaddr:Vini_net.Addr.t ->
   unit ->
   t
 (** [host] is the client machine; [server] the ingress node's public
-    address; [vaddr] the client's overlay address (allocated with
-    [Iias.alloc_vpn_addr]).  A greeting packet registers the client with
-    the ingress immediately. *)
+    address, reached on OpenVPN's port 1194; [vaddr] the client's overlay
+    address (allocated with [Iias.alloc_vpn_addr]).  A greeting packet
+    registers the client with the ingress immediately. *)
 
 val stack : t -> Vini_phys.Ipstack.t
 (** The tun device: applications bind and send here with the overlay
     address. *)
 
 val vaddr : t -> Vini_net.Addr.t
-val packets_sent : t -> int
-val packets_received : t -> int
 
 val wire_bytes : payload:int -> int
 (** Physical-wire bytes for [payload] bytes of overlay traffic through an

@@ -41,10 +41,6 @@ let create ~engine ~rng ~speed_ghz ~contention =
   { engine; rng; speed_ghz; contention;
     wake_hist = Vini_std.Histogram.create () }
 
-let shared_default ~engine ~rng ~speed_ghz =
-  create ~engine ~rng ~speed_ghz
-    ~contention:(Shared { active_sampler = Calibration.shared_active_slices () })
-
 let speed_ghz t = t.speed_ghz
 
 let scale_cost t c =

@@ -35,9 +35,6 @@ val create :
   t
 (** One scheduler per physical node. *)
 
-val shared_default : engine:Vini_sim.Engine.t -> rng:Vini_std.Rng.t -> speed_ghz:float -> t
-(** Shared node with the calibrated PlanetLab contention model. *)
-
 val speed_ghz : t -> float
 
 val scale_cost : t -> Vini_sim.Time.t -> Vini_sim.Time.t

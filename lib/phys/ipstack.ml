@@ -78,10 +78,6 @@ let unbind_udp t ~port =
   Hashtbl.remove t.udp port;
   invalidate_udp_memo t
 
-let unbind_tcp t ~port =
-  Hashtbl.remove t.tcp port;
-  invalidate_tcp_memo t
-
 let alloc_ephemeral t =
   let p = t.next_ephemeral in
   t.next_ephemeral <- t.next_ephemeral + 1;

@@ -32,7 +32,6 @@ val bind_udp : t -> port:int -> (Vini_net.Packet.t -> unit) -> unit
 
 val bind_tcp : t -> port:int -> (Vini_net.Packet.t -> unit) -> unit
 val unbind_udp : t -> port:int -> unit
-val unbind_tcp : t -> port:int -> unit
 
 val alloc_ephemeral : t -> int
 (** A fresh high port (49152+), never reused within a run. *)

@@ -165,16 +165,6 @@ let set_background t ~dir ~delay ~loss =
   d.bg_delay <- delay;
   d.bg_loss <- loss
 
-let background t ~dir =
-  let d = t.dirs.(dir) in
-  (d.bg_delay, d.bg_loss)
-
-let utilization t ~dir =
-  let d = t.dirs.(dir) in
-  let now = Engine.now t.engine in
-  if Time.compare d.busy_until now <= 0 then 0.0
-  else Time.to_sec_f (Time.sub d.busy_until now)
-
 let stats t ~dir =
   let d = t.dirs.(dir) in
   {

@@ -51,12 +51,6 @@ val set_background : t -> dir:int -> delay:Vini_sim.Time.t -> loss:float -> unit
     byte-identical to a run without a fluid model.
     @raise Invalid_argument unless [loss] is in [\[0,1\]] and [delay >= 0]. *)
 
-val background : t -> dir:int -> Vini_sim.Time.t * float
-(** Current [(delay, loss)] background pressure on [dir]. *)
-
-val utilization : t -> dir:int -> float
-(** Instantaneous backlog in seconds of serialisation time. *)
-
 val stats : t -> dir:int -> stats
 val bandwidth_bps : t -> float
 val delay : t -> Vini_sim.Time.t

@@ -34,7 +34,6 @@ type t = {
   engine : Engine.t;
   graph : Graph.t;
   pnodes : Pnode.t array;
-  by_addr : (Addr.t, Pnode.t) Hashtbl.t;
   (* plinks.(s) = the physical link behind adjacency slot [s]
      ([Graph.first_slot]); a link's two slots share one plink.  A link's
      state is its plink's ([Plink.is_up]); [set_link_state] is the only
@@ -54,20 +53,13 @@ type t = {
      place on every route recomputation and link-state flip. *)
   fwd : int array;
   spf : spf;
-  (* Dense addr → node-id table for the per-packet destination resolve.
-     [addr_idx.(Addr.to_int a - addr_base)] is the node id, or -1 for a
-     non-node address.  Built only when node addresses span a small range
-     (the default 198.32.154/155 scheme always qualifies); [ [||] ] means
-     "fall back to [by_addr]". *)
-  addr_base : int;
-  addr_idx : int array;
   mutable subscribers : (event -> unit) list;
   mutable blackholed : int;
 }
 
-let default_addr i =
-  if i < 246 then Addr.of_octets 198 32 154 (10 + i)
-  else Addr.add (Addr.of_octets 198 32 155 0) (i - 246)
+(* Node [i]'s address is [addr_base + i]: 198.32.154.(10+i), running on
+   into 198.32.155.x past .255 (the paper's example block). *)
+let addr_base = Addr.of_octets 198 32 154 10
 
 (* Resolve [v]'s entry in the row of [nh] at [base], [src]'s, from
    [src]'s shortest-path tree [prev]: towards [v] the packet leaves by
@@ -95,19 +87,11 @@ let rebuild_fwd t =
     t.fwd.(i) <- (if s >= 0 && Plink.is_up t.plinks.(s) then s else -1)
   done
 
-(* Per-packet destination resolve: a bounds check plus one array load on
-   the dense path; the hashtable only serves scattered custom [addr_of]
-   schemes.  Returns -1 for addresses that name no node. *)
+(* Per-packet destination resolve: the node id is the address's offset
+   from [addr_base], or -1 for an address that names no node. *)
 let node_id_of_dst t a =
-  let len = Array.length t.addr_idx in
-  if len > 0 then begin
-    let i = Addr.to_int a - t.addr_base in
-    if i >= 0 && i < len then Array.unsafe_get t.addr_idx i else -1
-  end
-  else
-    match Hashtbl.find_opt t.by_addr a with
-    | Some p -> Pnode.id p
-    | None -> -1
+  let i = Addr.to_int a - Addr.to_int addr_base in
+  if i >= 0 && i < Array.length t.pnodes then i else -1
 
 (* Every slot's weight is computed once, then each source's tree comes
    from the shared int-array Dijkstra into the reused [dist]/[prev]. *)
@@ -139,7 +123,7 @@ let recompute_routes t =
 
 let rec create ~engine ~rng ~graph
     ?(profile = fun _ -> dedicated_profile ~speed_ghz:Calibration.reference_ghz)
-    ?(addr_of = default_addr) ?(mask_failures = true) () =
+    ?(mask_failures = true) () =
   let n = Graph.node_count graph in
   let pnodes =
     Array.init n (fun i ->
@@ -149,32 +133,7 @@ let rec create ~engine ~rng ~graph
             ~speed_ghz:p.speed_ghz ~contention:p.contention
         in
         Pnode.create ~engine ~rng:(Vini_std.Rng.split rng) ~id:i
-          ~name:(Graph.name graph i) ~addr:(addr_of i) ~cpu ())
-  in
-  let by_addr = Hashtbl.create n in
-  Array.iter (fun p -> Hashtbl.replace by_addr (Pnode.addr p) p) pnodes;
-  let addr_base, addr_idx =
-    if n = 0 then (0, [||])
-    else begin
-      let lo = ref max_int and hi = ref 0 in
-      Array.iter
-        (fun p ->
-          let a = Addr.to_int (Pnode.addr p) in
-          if a < !lo then lo := a;
-          if a > !hi then hi := a)
-        pnodes;
-      let span = !hi - !lo + 1 in
-      (* Custom [addr_of] schemes can scatter addresses arbitrarily; only
-         densify when the table stays proportional to the node count. *)
-      if span > (4 * n) + 64 then (0, [||])
-      else begin
-        let idx = Array.make span (-1) in
-        Array.iter
-          (fun p -> idx.(Addr.to_int (Pnode.addr p) - !lo) <- Pnode.id p)
-          pnodes;
-        (!lo, idx)
-      end
-    end
+          ~name:(Graph.name graph i) ~addr:(Addr.add addr_base i) ~cpu ())
   in
   let links =
     Array.map
@@ -193,9 +152,6 @@ let rec create ~engine ~rng ~graph
       engine;
       graph;
       pnodes;
-      by_addr;
-      addr_base;
-      addr_idx;
       plinks = Array.init slots (fun s -> snd links.(Graph.slot_link graph s));
       hop = Array.init slots (Graph.slot_target graph);
       mask_failures;
@@ -277,8 +233,6 @@ and originate t node pkt =
 let engine t = t.engine
 let graph t = t.graph
 let node t i = t.pnodes.(i)
-let node_by_name t n = t.pnodes.(Graph.id_of_name t.graph n)
-let node_of_addr t a = Hashtbl.find_opt t.by_addr a
 let addr t i = Pnode.addr t.pnodes.(i)
 let nodes t = Array.to_list t.pnodes
 

@@ -23,7 +23,6 @@ type event =
 
 type node_profile = { speed_ghz : float; contention : Cpu.contention }
 
-val dedicated_profile : speed_ghz:float -> node_profile
 val planetlab_profile : speed_ghz:float -> node_profile
 (** Shared node with the calibrated contention model. *)
 
@@ -32,19 +31,16 @@ val create :
   rng:Vini_std.Rng.t ->
   graph:Vini_topo.Graph.t ->
   ?profile:(Vini_topo.Graph.node_id -> node_profile) ->
-  ?addr_of:(Vini_topo.Graph.node_id -> Vini_net.Addr.t) ->
   ?mask_failures:bool ->
   unit ->
   t
-(** Default profile: dedicated 2.8 GHz nodes.  Default addressing: node
-    [i] gets 198.32.154.(10+i) (the paper's example block), falling back
-    to sequential allocation past .255. *)
+(** Default profile: dedicated 2.8 GHz nodes.  Node [i] gets address
+    198.32.154.(10+i) (the paper's example block), continuing
+    sequentially into 198.32.155.x past .255. *)
 
 val engine : t -> Vini_sim.Engine.t
 val graph : t -> Vini_topo.Graph.t
 val node : t -> Vini_topo.Graph.node_id -> Pnode.t
-val node_by_name : t -> string -> Pnode.t
-val node_of_addr : t -> Vini_net.Addr.t -> Pnode.t option
 val addr : t -> Vini_topo.Graph.node_id -> Vini_net.Addr.t
 val nodes : t -> Pnode.t list
 

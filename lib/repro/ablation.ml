@@ -74,8 +74,7 @@ let scheduler_knobs ?(duration_s = 5) ?(seed = 11001) () =
       })
     cases
 
-let buffer_sweep ?(rate_mbps = 35.0) ?(buffers_kb = [ 16; 32; 64; 128; 256 ])
-    ?(duration_s = 10) ?(seed = 12001) () =
+let buffer_sweep ?(rate_mbps = 35.0) ?(duration_s = 10) ?(seed = 12001) () =
   List.mapi
     (fun i kb ->
       let engine, iias =
@@ -91,10 +90,9 @@ let buffer_sweep ?(rate_mbps = 35.0) ?(buffers_kb = [ 16; 32; 64; 128; 256 ])
       in
       Engine.run ~until:(Time.sec (27 + duration_s)) engine;
       (kb, Iperf.udp_loss_pct run))
-    buffers_kb
+    [ 16; 32; 64; 128; 256 ]
 
-let timer_sweep ?(timers = [ (1, 4); (2, 6); (5, 10); (10, 25) ])
-    ?(seed = 13001) () =
+let timer_sweep ?(seed = 13001) () =
   List.mapi
     (fun i (hello, dead) ->
       (* Detection delay depends on hello phase; average a few seeds. *)
@@ -117,7 +115,7 @@ let timer_sweep ?(timers = [ (1, 4); (2, 6); (5, 10); (10, 25) ])
             /. float_of_int (List.length samples)
       in
       (hello, dead, mean))
-    timers
+    [ (1, 4); (2, 6); (5, 10); (10, 25) ]
 
 (* --- isolation matrix ---------------------------------------------------- *)
 

@@ -25,13 +25,13 @@ val scheduler_knobs :
     measured like Table 4/5 on the PlanetLab chain. *)
 
 val buffer_sweep :
-  ?rate_mbps:float -> ?buffers_kb:int list -> ?duration_s:int -> ?seed:int ->
-  unit -> (int * float) list
-(** (buffer KB, loss %) at a fixed CBR rate on a default-share slice. *)
+  ?rate_mbps:float -> ?duration_s:int -> ?seed:int -> unit -> (int * float) list
+(** (buffer KB, loss %) at a fixed CBR rate on a default-share slice, for
+    16, 32, 64, 128 and 256 KB buffers. *)
 
-val timer_sweep :
-  ?timers:(int * int) list -> ?seed:int -> unit -> (int * int * float) list
-(** (hello s, dead s, measured detection delay s) on the Abilene mirror. *)
+val timer_sweep : ?seed:int -> unit -> (int * int * float) list
+(** (hello s, dead s, measured detection delay s) on the Abilene mirror,
+    for hello/dead timers of 1/4, 2/6, 5/10 and 10/25 s. *)
 
 val isolation_matrix :
   ?duration_s:int -> ?seed:int -> unit -> knob_result list

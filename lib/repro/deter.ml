@@ -142,10 +142,10 @@ module Export = Vini_measure.Export
 module Tcp = Vini_transport.Tcp
 
 let observability_run ?(duration_s = 2) ?(seed = 7001)
-    ?(trace_capacity = 8192) ?(trace_categories = Trace.Category.all) () =
+    ?(trace_categories = Trace.Category.all) () =
   let engine, underlay, iias = make_overlay ~seed () in
   Engine.set_profiling engine true;
-  let trace = Trace.create ~capacity:trace_capacity ~categories:trace_categories () in
+  let trace = Trace.create ~capacity:8192 ~categories:trace_categories () in
   Trace.install trace;
   let monitor = Vini_measure.Monitor.create ~engine ~interval:(Time.ms 200) () in
   Monitor.watch_engine monitor engine;
@@ -198,7 +198,7 @@ module Mspan = Vini_measure.Span
 
 (* A quarter of the recorder's default ring: plenty for the traffic
    window's trees while keeping the JSON artifact CI-friendly. *)
-let spans_run ?(duration_s = 2) ?(seed = 7001) ?(span_capacity = 65_536) () =
+let spans_run ?(duration_s = 2) ?(seed = 7001) () =
   let engine, _underlay, iias = make_overlay ~seed () in
   (* A sink enabling the [span] category plus an installed recorder opens
      the double gate; installing both before convergence means even
@@ -207,7 +207,7 @@ let spans_run ?(duration_s = 2) ?(seed = 7001) ?(span_capacity = 65_536) () =
     Trace.create ~capacity:256 ~categories:[ Trace.Category.Span ] ()
   in
   Trace.install trace;
-  let recorder = Sspan.create ~capacity:span_capacity () in
+  let recorder = Sspan.create ~capacity:65_536 () in
   Sspan.install recorder;
   let monitor = Monitor.create ~engine ~interval:(Time.ms 200) () in
   Mspan.watch monitor ~prefix:"spans" recorder;

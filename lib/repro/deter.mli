@@ -28,25 +28,24 @@ val iias_ping : ?count:int -> ?seed:int -> unit -> ping_result
 val observability_run :
   ?duration_s:int ->
   ?seed:int ->
-  ?trace_capacity:int ->
   ?trace_categories:Vini_sim.Trace.Category.t list ->
   unit ->
   Vini_measure.Export.json * float
 (** One fully-instrumented IIAS TCP run on the DETER chain: engine
-    profiling on, a trace sink installed (default: all categories), and a
-    metrics registry watching the engine, the forwarder's Click counters,
-    the physical CPU scheduler and the TCP sender.  Returns the
+    profiling on, an 8192-event trace sink installed (default: all
+    categories), and a metrics registry watching the engine, the
+    forwarder's Click counters, the physical CPU scheduler and the TCP
+    sender.  Returns the
     [vini.metrics/1] export document (this is what the bench writes to
     [BENCH_METRICS.json]) and the measured throughput in Mb/s. *)
 
 val spans_run :
   ?duration_s:int ->
   ?seed:int ->
-  ?span_capacity:int ->
   unit ->
   Vini_measure.Export.json * float
-(** The flight-recorder run: same IIAS TCP scenario with a span recorder
-    installed from t=0 (so routing chatter, the transfer, and four
+(** The flight-recorder run: same IIAS TCP scenario with a 65,536-span
+    recorder installed from t=0 (so routing chatter, the transfer, and four
     deliberately TTL-doomed probes all leave causal trees).  Returns the
     [vini.spans/1] document (with embedded Chrome [traceEvents] and a
     nested [metrics] document) and the measured throughput in Mb/s.

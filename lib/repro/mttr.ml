@@ -12,6 +12,7 @@ module Watchdog = Vini_measure.Watchdog
 
 let topology () = Vini_rcc.Rcc.abilene ()
 let warmup_s = 40.0
+let total_s = 50.0
 
 type fault = Node_crash of Supervisor.policy | Link_cut
 
@@ -29,7 +30,7 @@ type row = {
 }
 
 let run_one ?(seed = 9301) ?(fail_at = 10.0) ?(restore_at = 25.0)
-    ?(total_s = 50.0) ?(ping_interval_ms = 250) ~fault () =
+    ?(ping_interval_ms = 250) ~fault () =
   let g = topology () in
   let denver = Graph.id_of_name g "Denver" in
   let kansas_city = Graph.id_of_name g "Kansas-City" in
@@ -125,9 +126,9 @@ let run_one ?(seed = 9301) ?(fail_at = 10.0) ?(restore_at = 25.0)
     wd,
     iias )
 
-let run ?seed ?fail_at ?restore_at ?total_s ?ping_interval_ms ~fault () =
+let run ?seed ?fail_at ?restore_at ?ping_interval_ms ~fault () =
   let row, _, _ =
-    run_one ?seed ?fail_at ?restore_at ?total_s ?ping_interval_ms ~fault ()
+    run_one ?seed ?fail_at ?restore_at ?ping_interval_ms ~fault ()
   in
   row
 

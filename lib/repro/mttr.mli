@@ -18,8 +18,6 @@ val topology : unit -> Vini_topo.Graph.t
 
 type fault = Node_crash of Vini_phys.Supervisor.policy | Link_cut
 
-val fault_label : fault -> string
-
 type row = {
   label : string;
   detect_s : float;        (** failure -> traffic on the backup path *)
@@ -33,7 +31,6 @@ val run :
   ?seed:int ->
   ?fail_at:float ->
   ?restore_at:float ->
-  ?total_s:float ->
   ?ping_interval_ms:int ->
   fault:fault ->
   unit ->
@@ -45,7 +42,6 @@ val run_one :
   ?seed:int ->
   ?fail_at:float ->
   ?restore_at:float ->
-  ?total_s:float ->
   ?ping_interval_ms:int ->
   fault:fault ->
   unit ->

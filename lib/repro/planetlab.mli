@@ -40,6 +40,5 @@ val jitter :
 val loss_sweep :
   condition -> ?rates_mbps:float list -> ?duration_s:int -> ?seed:int -> unit ->
   (float * float) list
-(** Figure 6: (rate Mb/s, loss %) per CBR rate. *)
-
-val default_rates : float list
+(** Figure 6: (rate Mb/s, loss %) per CBR rate (default 1, 5, 10, ...,
+    45 Mb/s). *)

@@ -79,8 +79,6 @@ type t = {
   mutable peers : peer list;
   mutable originated : Prefix.t list;
   mutable loc : (path * peer_id option) Pmap.t;  (* best + learned-from *)
-  mutable updates_sent : int;
-  mutable updates_received : int;
   mutable session_resets : int;
   mutable started : bool;
 }
@@ -93,8 +91,6 @@ let create ~engine ~config ?rib () =
     peers = [];
     originated = config.originate;
     loc = Pmap.empty;
-    updates_sent = 0;
-    updates_received = 0;
     session_resets = 0;
     started = false;
   }
@@ -123,22 +119,10 @@ let self_path t =
 
 let find_peer t pid = List.find_opt (fun p -> p.pid = pid) t.peers
 
-let post t peer m =
-  t.updates_sent <-
-    (match m with Update _ -> t.updates_sent + 1 | Open _ | Keepalive -> t.updates_sent);
+let post peer m =
   Rchan.post peer.chan (Msg m) ~size:(msg_size m)
 
-(* Queue a change for a peer, honouring MRAI batching. *)
-let rec enqueue_change t peer prefix change =
-  peer.pending <- Pmap.add prefix change peer.pending;
-  if peer.mrai_timer = None then
-    peer.mrai_timer <-
-      Some
-        (Engine.after t.engine t.config.mrai (fun () ->
-             peer.mrai_timer <- None;
-             flush_pending t peer))
-
-and flush_pending t peer =
+let flush_pending peer =
   if peer.established && not (Pmap.is_empty peer.pending) then begin
     let withdraw, announce =
       Pmap.fold
@@ -149,9 +133,19 @@ and flush_pending t peer =
         peer.pending ([], [])
     in
     peer.pending <- Pmap.empty;
-    post t peer (Update { withdraw; announce })
+    post peer (Update { withdraw; announce })
   end
   else peer.pending <- Pmap.empty
+
+(* Queue a change for a peer, honouring MRAI batching. *)
+let enqueue_change t peer prefix change =
+  peer.pending <- Pmap.add prefix change peer.pending;
+  if peer.mrai_timer = None then
+    peer.mrai_timer <-
+      Some
+        (Engine.after t.engine t.config.mrai (fun () ->
+             peer.mrai_timer <- None;
+             flush_pending peer))
 
 let exported t peer ~learned_from prefix path =
   if not (peer.export prefix) then None
@@ -284,7 +278,7 @@ let rec peer_down t peer =
     ignore
       (Engine.after t.engine t.config.reconnect (fun () ->
            if not peer.established then
-             post t peer (Open { asn = t.config.asn; rid = t.config.rid })))
+             post peer (Open { asn = t.config.asn; rid = t.config.rid })))
   end
 
 and reset_hold t peer =
@@ -299,13 +293,12 @@ let handle_msg t peer m =
       if not peer.established then begin
         peer.established <- true;
         (* Answer so the other side establishes too, then sync tables. *)
-        post t peer (Open { asn = t.config.asn; rid = t.config.rid });
+        post peer (Open { asn = t.config.asn; rid = t.config.rid });
         peer_full_table t peer
       end
   | Keepalive -> reset_hold t peer
   | Update u ->
       reset_hold t peer;
-      t.updates_received <- t.updates_received + 1;
       let touched = ref [] in
       List.iter
         (fun prefix ->
@@ -371,14 +364,14 @@ let start t =
     List.iter (fun prefix -> decide t prefix) t.originated;
     List.iter
       (fun peer ->
-        post t peer (Open { asn = t.config.asn; rid = t.config.rid }))
+        post peer (Open { asn = t.config.asn; rid = t.config.rid }))
       t.peers;
     let keepalive_every =
       Time.of_sec_f (Time.to_sec_f t.config.hold_time /. 3.0)
     in
     Engine.every t.engine keepalive_every (fun () ->
         List.iter
-          (fun peer -> if peer.established then post t peer Keepalive)
+          (fun peer -> if peer.established then post peer Keepalive)
           t.peers;
         true)
   end
@@ -404,6 +397,4 @@ let withdraw_prefix t prefix =
 let import_rejections t pid =
   match find_peer t pid with Some p -> p.import_rejected | None -> 0
 
-let updates_sent t = t.updates_sent
-let updates_received t = t.updates_received
 let session_resets t = t.session_resets

@@ -75,8 +75,6 @@ val announce_prefix : t -> Vini_net.Prefix.t -> unit
 
 val withdraw_prefix : t -> Vini_net.Prefix.t -> unit
 
-val updates_sent : t -> int
-val updates_received : t -> int
 val session_resets : t -> int
 
 val compare_paths : path -> path -> int

@@ -64,8 +64,6 @@ type t = {
   mutable spf_pending : bool;
   mutable spf_runs : int;
   mutable messages_sent : int;
-  mutable routes_installed : int;
-  mutable spf_hooks : (unit -> unit) list;
   mutable stopped : bool;
 }
 
@@ -86,8 +84,6 @@ let create ~engine ~rng ~config ~ifaces ~rib =
     spf_pending = false;
     spf_runs = 0;
     messages_sent = 0;
-    routes_installed = 0;
-    spf_hooks = [];
     stopped = false;
   }
 
@@ -203,9 +199,7 @@ and run_spf t =
       (fun (p1, _) (p2, _) -> Prefix.compare p1 p2)
       (Hashtbl.fold (fun p r acc -> (p, r) :: acc) routes [])
   in
-  t.routes_installed <- List.length route_list;
-  Rib.replace_all t.rib ~proto:Rib.Ospf route_list;
-  List.iter (fun f -> f ()) t.spf_hooks
+  Rib.replace_all t.rib ~proto:Rib.Ospf route_list
 
 (* --- LSA origination and flooding ------------------------------------ *)
 
@@ -441,5 +435,3 @@ let lsdb t =
 
 let spf_runs t = t.spf_runs
 let messages_sent t = t.messages_sent
-let routes_installed t = t.routes_installed
-let on_spf t f = t.spf_hooks <- t.spf_hooks @ [ f ]

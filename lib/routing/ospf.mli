@@ -75,13 +75,8 @@ val full_neighbors : t -> (int * int) list
 val lsdb : t -> lsa list
 val spf_runs : t -> int
 val messages_sent : t -> int
-val routes_installed : t -> int
-(** Size of the last SPF's route set. *)
 
 val reoriginate : t -> unit
 (** Re-advertise this router's LSA immediately (after an interface-cost
     reconfiguration). *)
 
-val on_spf : t -> (unit -> unit) -> unit
-(** Hook invoked after each SPF completes (used by experiments to log
-    convergence instants). *)

@@ -10,7 +10,6 @@ type t = {
   engine : Engine.t;
   send : Packet.control -> size:int -> unit;
   deliver : Packet.control -> unit;
-  rto : Time.t;
   queue : (Packet.control * int) Queue.t;
   mutable next_seq : int;          (* next seq to assign *)
   mutable unacked : (int * Packet.control * int) option;
@@ -20,12 +19,14 @@ type t = {
   mutable stopped : bool;
 }
 
-let create ~engine ~send ~deliver ?(rto = Time.ms 800) () =
+(* Retransmission timeout of the one unacknowledged frame. *)
+let rto = Time.ms 800
+
+let create ~engine ~send ~deliver () =
   {
     engine;
     send;
     deliver;
-    rto;
     queue = Queue.create ();
     next_seq = 0;
     unacked = None;
@@ -43,7 +44,7 @@ let rec transmit t =
       t.send (Data { seq; payload; psize }) ~size:(frame_size psize);
       t.timer <-
         Some
-          (Engine.after t.engine t.rto (fun () ->
+          (Engine.after t.engine rto (fun () ->
                if not t.stopped && t.unacked <> None then begin
                  t.retransmissions <- t.retransmissions + 1;
                  transmit t

@@ -4,7 +4,8 @@
     instead, so they survive the packet loss that overlay links and busy
     Click processes inflict, while still failing (hold-timer expiry) when
     the path is truly dead.  Each side numbers messages, the receiver acks
-    and delivers in order, the sender retransmits on timeout. *)
+    and delivers in order, the sender retransmits after an 800 ms
+    timeout. *)
 
 type Vini_net.Packet.control +=
   | Data of { seq : int; payload : Vini_net.Packet.control; psize : int }
@@ -16,7 +17,6 @@ val create :
   engine:Vini_sim.Engine.t ->
   send:(Vini_net.Packet.control -> size:int -> unit) ->
   deliver:(Vini_net.Packet.control -> unit) ->
-  ?rto:Vini_sim.Time.t ->
   unit ->
   t
 

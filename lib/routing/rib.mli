@@ -7,10 +7,8 @@
     the routing processes and Click (§4.2.2). *)
 
 type proto = Connected | Static | Ebgp | Ospf | Rip | Ibgp
-
-val admin_distance : proto -> int
-(** Conventional values: connected 0, static 1, eBGP 20, OSPF 110,
-    RIP 120, iBGP 200. *)
+(** Administrative distances are the conventional values: connected 0,
+    static 1, eBGP 20, OSPF 110, RIP 120, iBGP 200. *)
 
 val proto_name : proto -> string
 

@@ -29,10 +29,6 @@ let class_id name =
       incr nclasses;
       id
 
-let class_name id =
-  if id < 0 || id >= !nclasses then invalid_arg "Profile.class_name";
-  !class_names.(id)
-
 (* ---- the profile record ------------------------------------------------ *)
 
 (* Element call stacks never get deep (a click chain is a handful of
@@ -183,14 +179,6 @@ let leave cls =
 (* ---- read-side --------------------------------------------------------- *)
 
 let element_packets_total p = Array.fold_left ( + ) 0 p.cls_packets
-
-let element_classes p =
-  let acc = ref [] in
-  for id = !nclasses - 1 downto 0 do
-    if id < Array.length p.cls_packets && p.cls_packets.(id) > 0 then
-      acc := !class_names.(id) :: !acc
-  done;
-  !acc
 
 let path_string p id =
   let rec go id acc =

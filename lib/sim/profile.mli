@@ -44,9 +44,6 @@ val on : unit -> bool
 val class_id : string -> int
 (** Intern an element-class name. *)
 
-val class_name : int -> string
-(** Inverse of {!class_id}; raises [Invalid_argument] on an unknown id. *)
-
 (** {2 Element attribution notes}
 
     All notes are cheap no-ops when no profile is installed, but callers
@@ -71,7 +68,6 @@ val leave : int -> unit
 (** {2 Read side} *)
 
 val element_packets_total : t -> int
-val element_classes : t -> string list
 
 val collapsed : t -> (string * float * int) list
 (** Flamegraph-loadable collapsed stacks: [(";"-joined path, attributed

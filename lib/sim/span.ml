@@ -176,19 +176,3 @@ let record_pkt = function
 let record_orig = function
   | Origin { orig; _ } | Hop { orig; _ } | Drop { orig; _ } -> orig
 
-let record_component = function
-  | Origin { component; _ } | Hop { component; _ } | Drop { component; _ } ->
-      component
-
-let pp_record ppf = function
-  | Origin { pkt; orig; bytes; component; t } ->
-      Format.fprintf ppf "%a origin pkt=%d orig=%d %dB %s" Time.pp t pkt orig
-        bytes component
-  | Hop { pkt; orig; component; attribution; t0; t1 } ->
-      Format.fprintf ppf "%a hop pkt=%d orig=%d %s %s %.9fs" Time.pp t1 pkt
-        orig component
-        (attribution_name attribution)
-        (Time.to_sec_f (Time.sub t1 t0))
-  | Drop { pkt; orig; component; reason; bytes; t } ->
-      Format.fprintf ppf "%a DROP pkt=%d orig=%d %dB %s (%s)" Time.pp t pkt
-        orig bytes component reason

@@ -163,5 +163,3 @@ val records : t -> record list
 val clear : t -> unit
 val record_pkt : record -> int
 val record_orig : record -> int
-val record_component : record -> string
-val pp_record : Format.formatter -> record -> unit

@@ -170,10 +170,6 @@ let on cat = !global_mask land Category.bit cat <> 0
 
 let enabled t cat = t.mask land Category.bit cat <> 0
 
-let set_categories t cats =
-  t.mask <- Category.mask_of cats;
-  (match !sink_ref with Some s when s == t -> refresh_global_mask () | _ -> ())
-
 let enable t cat =
   t.mask <- t.mask lor Category.bit cat;
   (match !sink_ref with Some s when s == t -> refresh_global_mask () | _ -> ())
@@ -203,8 +199,6 @@ let emit ?severity ~component kind =
   match !sink_ref with
   | None -> ()
   | Some t -> record ?severity t ~component kind
-
-let message ~component detail = emit ~component (Custom detail)
 
 (* -- inspection ---------------------------------------------------------- *)
 

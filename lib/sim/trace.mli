@@ -85,15 +85,12 @@ val on : Category.t -> bool
     [if Trace.on Trace.Category.Packet_drop then Trace.emit ...]. *)
 
 val emit : ?severity:severity -> component:string -> kind -> unit
-val message : component:string -> string -> unit
-(** [message ~component detail] emits [Custom detail]. *)
 
 (** {2 Category filtering} *)
 
 val enabled : t -> Category.t -> bool
 val enable : t -> Category.t -> unit
 val disable : t -> Category.t -> unit
-val set_categories : t -> Category.t list -> unit
 
 (** {2 Inspection} *)
 
@@ -127,15 +124,13 @@ val now : unit -> Time.t
 val span_gate : bool ref
 (** [true] iff span records should be recorded.  Read via [Span.on];
     never write it directly — it is recomputed by {!install},
-    {!uninstall}, {!set_categories}, {!enable}, {!disable} and
+    {!uninstall}, {!enable}, {!disable} and
     {!set_span_recorder}. *)
 
 val set_span_recorder : bool -> unit
 (** Called by [Span.install] / [Span.uninstall] to declare whether a span
     ring is present. *)
 
-val kind_detail : kind -> string
-(** Short human rendering of the payload. *)
-
-val pp_event : Format.formatter -> event -> unit
 val pp : Format.formatter -> t -> unit
+(** One line per event: time, severity, category, component and a short
+    rendering of the payload. *)

@@ -28,11 +28,6 @@ val of_string : string -> (t, string) result
 (** Strict parser for documents produced by {!to_string} (and ordinary
     JSON): no trailing garbage, strings with the usual escapes. *)
 
-val num_to_string : float -> string
-(** The deterministic float formatting {!to_string} uses for [Num] —
-    integral floats print without a fraction, NaN degrades to [null],
-    infinities to [±1e999].  Exposed for CSV exporters that must match
-    the JSON documents byte-for-byte. *)
 
 (** {2 Accessors} (for tests and consumers) *)
 

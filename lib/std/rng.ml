@@ -51,6 +51,3 @@ let shuffle t a =
     a.(j) <- tmp
   done
 
-let choose t a =
-  assert (Array.length a > 0);
-  a.(int t (Array.length a))

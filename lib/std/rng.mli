@@ -43,5 +43,3 @@ val pareto : t -> scale:float -> shape:float -> float
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)

@@ -5,6 +5,7 @@ module Packet = Vini_net.Packet
 module Ipstack = Vini_phys.Ipstack
 
 let default_mss = 1430
+let initial_rto = Time.sec 1
 let default_rwnd = 16 * 1024
 let min_rto = Time.ms 200
 let max_rto = Time.sec 60
@@ -40,7 +41,6 @@ type t = {
   local_port : int;
   remote : Vini_net.Addr.t;
   remote_port : int;
-  mss : int;
   rwnd_limit : int;
   mutable state : state;
   (* sender *)
@@ -65,7 +65,6 @@ type t = {
   mutable retransmitted_since_sample : bool;
   mutable rto_timer : Engine.handle option;
   mutable last_send : Time.t;
-  initial_rto : Time.t;
   (* receiver *)
   mutable rcv_nxt : int;
   mutable ooo : (int * int) list;   (* (start, len), sorted & disjoint *)
@@ -84,14 +83,13 @@ type t = {
   mutable closed_hook : unit -> unit;
 }
 
-let make ~stack ~local_port ~remote ~remote_port ~rwnd ~mss ~initial_rto state =
+let make ~stack ~local_port ~remote ~remote_port ~rwnd state =
   {
     stack;
     engine = Ipstack.engine stack;
     local_port;
     remote;
     remote_port;
-    mss;
     rwnd_limit = rwnd;
     state;
     snd_una = 0;
@@ -100,7 +98,7 @@ let make ~stack ~local_port ~remote ~remote_port ~rwnd ~mss ~initial_rto state =
     app_remaining = Some 0;
     fin_queued = false;
     fin_sent = false;
-    cwnd = 2 * mss;
+    cwnd = 2 * default_mss;
     ssthresh = 64 * 1024;
     peer_rwnd = rwnd;
     dup_acks = 0;
@@ -114,7 +112,6 @@ let make ~stack ~local_port ~remote ~remote_port ~rwnd ~mss ~initial_rto state =
     retransmitted_since_sample = false;
     rto_timer = None;
     last_send = Time.zero;
-    initial_rto;
     rcv_nxt = 0;
     ooo = [];
     fin_rcvd_at = None;
@@ -191,8 +188,8 @@ and on_rto t =
       if flight t = 0 && not t.fin_sent then () (* nothing outstanding *)
       else begin
         t.timeouts <- t.timeouts + 1;
-        t.ssthresh <- Int.max (flight t / 2) (2 * t.mss);
-        t.cwnd <- t.mss;
+        t.ssthresh <- Int.max (flight t / 2) (2 * default_mss);
+        t.cwnd <- default_mss;
         t.in_recovery <- false;
         t.dup_acks <- 0;
         t.rto <- Time.min max_rto (Time.mul t.rto 2);
@@ -209,7 +206,7 @@ and retransmit_one t =
   if t.fin_sent && t.snd_una >= t.snd_max then
     emit t ~fin:true ~seq:t.snd_max ~payload_len:0 ()
   else begin
-    let len = Int.min t.mss (Int.max 0 (t.snd_max - t.snd_una)) in
+    let len = Int.min default_mss (Int.max 0 (t.snd_max - t.snd_una)) in
     if len > 0 then begin
       emit t ~seq:t.snd_una ~payload_len:len ();
       t.snd_nxt <- Int.max t.snd_nxt (t.snd_una + len)
@@ -219,7 +216,9 @@ and retransmit_one t =
 (* Bytes available to send starting at snd_nxt (committed + fresh app data). *)
 and available t =
   let committed = Int.max 0 (t.snd_max - t.snd_nxt) in
-  let fresh = match t.app_remaining with None -> t.mss | Some r -> Int.max 0 r in
+  let fresh =
+    match t.app_remaining with None -> default_mss | Some r -> Int.max 0 r
+  in
   committed + fresh
 
 and pump t =
@@ -231,13 +230,13 @@ and pump t =
         flight t = 0
         && Time.compare t.last_send Time.zero > 0
         && Time.compare (Time.sub now t.last_send) t.rto > 0
-      then t.cwnd <- Int.min t.cwnd (2 * t.mss);
+      then t.cwnd <- Int.min t.cwnd (2 * default_mss);
       let progress = ref true in
       while !progress do
         (* A floor of one MSS avoids modelling the persist timer. *)
-        let window = Int.min t.cwnd (Int.max t.peer_rwnd t.mss) in
+        let window = Int.min t.cwnd (Int.max t.peer_rwnd default_mss) in
         let usable = window - flight t in
-        let len = Int.min t.mss (Int.min usable (available t)) in
+        let len = Int.min default_mss (Int.min usable (available t)) in
         if len > 0 then begin
           emit t ~seq:t.snd_nxt ~payload_len:len ();
           if t.rtt_seq = None && not t.retransmitted_since_sample then begin
@@ -289,8 +288,8 @@ let sample_rtt t ack =
   | Some _ | None -> ()
 
 let grow_cwnd t acked =
-  if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd + Int.min acked t.mss
-  else t.cwnd <- t.cwnd + Int.max 1 (t.mss * t.mss / t.cwnd);
+  if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd + Int.min acked default_mss
+  else t.cwnd <- t.cwnd + Int.max 1 (default_mss * default_mss / t.cwnd);
   Vini_std.Histogram.add t.cwnd_hist (float_of_int t.cwnd)
 
 let send_ack_now t = emit t ~seq:t.snd_nxt ~payload_len:0 ()
@@ -355,7 +354,7 @@ let become_established t =
   if t.state <> Established then begin
     t.state <- Established;
     cancel_rto t;
-    t.rto <- t.initial_rto;
+    t.rto <- initial_rto;
     t.established_hook ()
   end
 
@@ -407,15 +406,15 @@ let process_ack t (seg : Packet.tcp) =
     if t.dup_acks = 3 && not t.in_recovery then begin
       t.in_recovery <- true;
       t.recover <- t.snd_max;
-      t.ssthresh <- Int.max (flight t / 2) (2 * t.mss);
-      t.cwnd <- t.ssthresh + (3 * t.mss);
+      t.ssthresh <- Int.max (flight t / 2) (2 * default_mss);
+      t.cwnd <- t.ssthresh + (3 * default_mss);
       t.retransmits <- t.retransmits + 1;
       t.retransmitted_since_sample <- true;
       trace_retransmit t "fast-retransmit";
       retransmit_one t
     end
     else if t.dup_acks > 3 then begin
-      t.cwnd <- t.cwnd + t.mss;
+      t.cwnd <- t.cwnd + default_mss;
       pump t
     end
   end
@@ -490,20 +489,17 @@ let attach t =
       | Packet.Tcp seg -> handle_segment t pkt seg
       | Packet.Udp _ | Packet.Icmp _ -> ())
 
-let connect ~stack ~dst ~dst_port ?(rwnd = default_rwnd) ?(mss = default_mss)
-    ?(initial_rto = Time.sec 1) () =
+let connect ~stack ~dst ~dst_port ?(rwnd = default_rwnd) () =
   let local_port = Ipstack.alloc_ephemeral stack in
   let t =
-    make ~stack ~local_port ~remote:dst ~remote_port:dst_port ~rwnd ~mss
-      ~initial_rto Syn_sent
+    make ~stack ~local_port ~remote:dst ~remote_port:dst_port ~rwnd Syn_sent
   in
   attach t;
   emit t ~syn:true ~ack:false ~seq:0 ~payload_len:0 ();
   arm_rto t;
   t
 
-let listen ~stack ~port ?(rwnd = default_rwnd) ?(mss = default_mss) ~on_accept
-    () =
+let listen ~stack ~port ?(rwnd = default_rwnd) ~on_accept () =
   let conns : (Vini_net.Addr.t * int, t) Hashtbl.t = Hashtbl.create 16 in
   Ipstack.bind_tcp stack ~port (fun pkt ->
       match pkt.Packet.proto with
@@ -516,8 +512,7 @@ let listen ~stack ~port ?(rwnd = default_rwnd) ?(mss = default_mss) ~on_accept
               then begin
                 let t =
                   make ~stack ~local_port:port ~remote:pkt.Packet.src
-                    ~remote_port:seg.Packet.sport ~rwnd ~mss
-                    ~initial_rto:(Time.sec 1) Syn_rcvd
+                    ~remote_port:seg.Packet.sport ~rwnd Syn_rcvd
                 in
                 Hashtbl.replace conns key t;
                 on_accept t;
@@ -557,6 +552,4 @@ let stats t =
     state = state_name t.state;
   }
 
-let is_established t = t.state = Established
-let local_port t = t.local_port
 let cwnd_hist t = t.cwnd_hist

@@ -33,17 +33,15 @@ val connect :
   dst:Vini_net.Addr.t ->
   dst_port:int ->
   ?rwnd:int ->
-  ?mss:int ->
-  ?initial_rto:Vini_sim.Time.t ->
   unit ->
   t
-(** Active open; the SYN goes out immediately. *)
+(** Active open; the SYN goes out immediately.  Segments carry at most
+    {!default_mss} bytes, and the retransmission timeout starts at 1 s. *)
 
 val listen :
   stack:Vini_phys.Ipstack.t ->
   port:int ->
   ?rwnd:int ->
-  ?mss:int ->
   on_accept:(t -> unit) ->
   unit ->
   unit
@@ -68,8 +66,6 @@ val on_established : t -> (unit -> unit) -> unit
 val on_closed : t -> (unit -> unit) -> unit
 
 val stats : t -> stats
-val is_established : t -> bool
-val local_port : t -> int
 
 val cwnd_hist : t -> Vini_std.Histogram.t
 (** Congestion-window samples (bytes), one per ack that advanced

@@ -62,8 +62,7 @@ let receiver_stats r =
 type sender = { mutable seq : int; mutable running : bool }
 
 let sender ~stack ~dst ~dst_port ~rate_bps
-    ?(payload_bytes = Vini_net.Wire.default_udp_payload) ?(flow_id = 0)
-    ~duration () =
+    ?(payload_bytes = Vini_net.Wire.default_udp_payload) ~duration () =
   if rate_bps <= 0.0 then invalid_arg "Udp_flow.sender: rate must be positive";
   let engine = Ipstack.engine stack in
   let s = { seq = 0; running = true } in
@@ -78,7 +77,7 @@ let sender ~stack ~dst ~dst_port ~rate_bps
         let probe =
           Packet.Probe
             {
-              Packet.flow = flow_id;
+              Packet.flow = 0;
               seq = s.seq;
               sent_ns = Engine.now engine;
               pad = payload_bytes;

@@ -27,7 +27,6 @@ val sender :
   dst_port:int ->
   rate_bps:float ->
   ?payload_bytes:int ->
-  ?flow_id:int ->
   duration:Vini_sim.Time.t ->
   unit ->
   sender

@@ -7,7 +7,7 @@ module Addr = Vini_net.Addr
 module Prefix = Vini_net.Prefix
 module Packet = Vini_net.Packet
 module Fib = Vini_click.Fib
-module Fib_reference = Vini_click.Fib_reference
+module Fib_reference = Vini_oracle.Fib_reference
 module Element = Vini_click.Element
 module Shaper = Vini_click.Shaper
 module Faulty = Vini_click.Faulty

@@ -409,6 +409,61 @@ let prop_next_hop_table =
             (Graph.nodes graph))
         (Graph.nodes graph))
 
+(* Node addresses run from 198.32.154.10 across the 154 -> 155 boundary
+   (node 246 is 198.32.155.0); a destination resolves to a node by its
+   offset from the base, and an address outside the node range names no
+   node. *)
+let test_underlay_address_boundary () =
+  let n = 300 in
+  let link a =
+    { Graph.a; b = a + 1; bandwidth_bps = 1e9; delay = Time.ms 1; loss = 0.0;
+      weight = 1 }
+  in
+  let graph =
+    Graph.create
+      ~names:(Array.init n (Printf.sprintf "n%d"))
+      ~links:(List.init (n - 1) link)
+  in
+  let engine = Engine.create () in
+  let u = Underlay.create ~engine ~rng:(rng 21) ~graph () in
+  check Alcotest.string "node 245" "198.32.154.255"
+    (Addr.to_string (Underlay.addr u 245));
+  check Alcotest.string "node 250" "198.32.155.4"
+    (Addr.to_string (Underlay.addr u 250));
+  List.iter
+    (fun from ->
+      let _, prev = Graph.dijkstra graph from in
+      List.iter
+        (fun dst ->
+          let want =
+            Option.value ~default:(-1) (oracle_next_hop prev ~from ~dst)
+          in
+          check Alcotest.int
+            (Printf.sprintf "forward_hop %d -> %d" from dst)
+            want
+            (Underlay.forward_hop u ~from ~dst))
+        [ 245; 246; 299 ])
+    [ 0; 200; 246; 299 ];
+  let src = Underlay.node u 200 and dst = Underlay.node u 250 in
+  let got = ref 0 in
+  Ipstack.bind_udp (Pnode.stack dst) ~port:5000 (fun _ -> incr got);
+  let send_to a =
+    Pnode.send src
+      (Packet.udp ~src:(Pnode.addr src) ~dst:a ~sport:1 ~dport:5000
+         (Packet.Bytes_ 100))
+  in
+  send_to (Pnode.addr dst);
+  Engine.run engine;
+  check Alcotest.int "delivered to 198.32.155.4" 1 !got;
+  List.iteri
+    (fun i a ->
+      send_to a;
+      Engine.run engine;
+      check Alcotest.int
+        ("blackholed " ^ Addr.to_string a)
+        (i + 1) (Underlay.blackholed u))
+    [ Addr.of_string "198.32.154.9"; Addr.add (Underlay.addr u (n - 1)) 1 ]
+
 let test_underlay_ttl_expiry () =
   let engine = Engine.create () in
   let u = chain ~engine () in
@@ -748,6 +803,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_next_hop_table;
     Alcotest.test_case "underlay ttl expiry" `Quick test_underlay_ttl_expiry;
     Alcotest.test_case "underlay loopback" `Quick test_underlay_loopback;
+    Alcotest.test_case "underlay address boundary" `Quick
+      test_underlay_address_boundary;
     Alcotest.test_case "htb root rate" `Quick test_htb_respects_root_rate;
     Alcotest.test_case "htb assured guarantee" `Quick test_htb_assured_guarantee;
     Alcotest.test_case "htb ceiling" `Quick test_htb_ceiling;

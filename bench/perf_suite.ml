@@ -26,7 +26,14 @@ module Prefix = Vini_net.Prefix
 let fast = Sys.getenv_opt "VINI_PERF_FAST" <> None
 let scale n = if fast then max 1 (n / 8) else n
 
-type bench = { name : string; ops : int; ns_per_op : float }
+(* [extra]: further per-row figures written beside [ns_per_op], never
+   gated. *)
+type bench = {
+  name : string;
+  ops : int;
+  ns_per_op : float;
+  extra : (string * float) list;
+}
 
 (* Best-of-trials CPU time: the minimum is the least-disturbed run, the
    standard estimator for throughput microbenchmarks. *)
@@ -38,7 +45,7 @@ let bench ~name ~ops ?(trials = 3) f =
     let dt = Sys.time () -. t0 in
     if dt < !best then best := dt
   done;
-  { name; ops; ns_per_op = !best *. 1e9 /. float_of_int ops }
+  { name; ops; ns_per_op = !best *. 1e9 /. float_of_int ops; extra = [] }
 
 (* ---- Scheduler churn (hold model) ------------------------------------- *)
 
@@ -218,6 +225,69 @@ let scen_embed algo () =
       ignore (Em.admit sub ~vtopo req)
     done
   done
+
+(* One fluid fold (DESIGN.md §17) over the same generated backbone: the
+   1M-user stream's flows due in one [fold_tick], each walked along the
+   underlay's forwarding table onto its directed queues, then every
+   queue drained.  Informational.  Each trial builds a fresh engine,
+   underlay and model outside the timed region and times the one tick;
+   [ops] is the batch's flow-hops (counted by walking the same flows
+   over the same table beforehand), so the row reads ns per flow-hop,
+   and [minor_words_per_fold] is the fold's allocation. *)
+
+let fold_tick = Vini_sim.Time.sec (if fast then 8 else 60)
+
+let fold_setup () =
+  let module Fluid = Vini_scenario.Fluid in
+  let engine = Vini_sim.Engine.create ~seed:42 () in
+  let under =
+    Vini_phys.Underlay.create ~engine ~rng:(Rng.create 42)
+      ~graph:(Vini_scenario.Generate.generate scen_spec) ()
+  in
+  let workload = Vini_scenario.Workload.default ~users:1_000_000 ~seed:7 in
+  let fluid =
+    Fluid.install ~under { Fluid.fidelity = Fluid.Flow; tick = fold_tick; workload }
+  in
+  (engine, under, workload, fluid)
+
+let fold_hops under workload =
+  let module W = Vini_scenario.Workload in
+  let module U = Vini_phys.Underlay in
+  let graph = U.graph under in
+  let stream = W.create workload ~nodes:(Vini_topo.Graph.node_count graph) in
+  (* A flow that blackholes lands on no queue. *)
+  let rec hops ~dst k u =
+    if u = dst then k
+    else
+      let s = U.forward_slot under ~from:u ~dst in
+      if s < 0 then 0 else hops ~dst (k + 1) (Vini_topo.Graph.slot_target graph s)
+  in
+  let total = ref 0 in
+  while Vini_sim.Time.compare (W.peek_time stream) fold_tick <= 0 do
+    let f = W.next stream in
+    total := !total + hops ~dst:f.W.dst_node 0 f.W.src_node
+  done;
+  !total
+
+let scen_fold () =
+  let best = ref infinity and words = ref 0.0 and ops = ref 0 in
+  for _ = 1 to 3 do
+    let engine, under, workload, fluid = fold_setup () in
+    ops := fold_hops under workload;
+    let w0 = Gc.minor_words () in
+    let t0 = Sys.time () in
+    Vini_sim.Engine.run ~until:fold_tick engine;
+    let dt = Sys.time () -. t0 in
+    words := Gc.minor_words () -. w0;
+    assert (Vini_scenario.Fluid.ticks fluid = 1);
+    if dt < !best then best := dt
+  done;
+  {
+    name = "scenario.fluid_fold200";
+    ops = !ops;
+    ns_per_op = !best *. 1e9 /. float_of_int !ops;
+    extra = [ ("minor_words_per_fold", !words) ];
+  }
 
 (* ---- Live-migration cutover ------------------------------------------- *)
 
@@ -428,6 +498,7 @@ let macro () =
       name = "e2e.iias_tcp_replay";
       ops = duration_s;
       ns_per_op = cpu *. 1e9 /. float_of_int duration_s;
+      extra = [];
     },
     r.Vini_repro.Deter.mbps_mean )
 
@@ -468,6 +539,7 @@ let spans_benches () =
       name;
       ops = duration_s;
       ns_per_op = cpu *. 1e9 /. float_of_int duration_s;
+      extra = [];
     }
   in
   (* The disabled pair alternates its trials (a, b, a, b, ...) and takes
@@ -512,6 +584,7 @@ let profiler_benches () =
       name;
       ops = duration_s;
       ns_per_op = cpu *. 1e9 /. float_of_int duration_s;
+      extra = [];
     }
   in
   (* The gated pair alternates its trials (a, b, a, b, ...) and takes the
@@ -536,11 +609,12 @@ let profiler_benches () =
 
 let bench_json b =
   Export.Obj
-    [
-      ("name", Export.Str b.name);
-      ("ops", Export.Num (float_of_int b.ops));
-      ("ns_per_op", Export.Num b.ns_per_op);
-    ]
+    ([
+       ("name", Export.Str b.name);
+       ("ops", Export.Num (float_of_int b.ops));
+       ("ns_per_op", Export.Num b.ns_per_op);
+     ]
+    @ List.map (fun (k, v) -> (k, Export.Num v)) b.extra)
 
 let speedup_json name ~old_b ~new_b =
   Export.Obj
@@ -608,6 +682,7 @@ let run () =
     bench ~name:"scenario.embed200_online" ~ops:scen_ops
       (scen_embed Vini_embed.Request.Online)
   in
+  let scen_fold_b = scen_fold () in
   let migrate_b =
     bench ~name:"embed.migrate_cutover" ~ops:migrate_cycles
       (migrate_cutover_loop (migrate_cutover_setup ()))
@@ -626,7 +701,7 @@ let run () =
   let benches =
     [ heap_b; evq_b; ref_flow; fib_flow; ref_uni; fib_uni; embed_greedy;
       embed_online; scen_gen_b; scen_wl_b; scen_greedy; scen_online;
-      migrate_b; dp_single; dp_batch; macro_b; spans_off_a; spans_on;
+      scen_fold_b; migrate_b; dp_single; dp_batch; macro_b; spans_off_a; spans_on;
       spans_off_b; prof_off_a; prof_on; prof_off_b ]
   in
   let speedups =
@@ -655,7 +730,10 @@ let run () =
     ]
   in
   List.iter
-    (fun b -> Printf.printf "  %-24s %12.1f ns/op  (%d ops)\n" b.name b.ns_per_op b.ops)
+    (fun b ->
+      Printf.printf "  %-24s %12.1f ns/op  (%d ops)%s\n" b.name b.ns_per_op b.ops
+        (String.concat ""
+           (List.map (fun (k, v) -> Printf.sprintf "  %s %.0f" k v) b.extra)))
     benches;
   List.iter
     (fun (n, o, w) ->

@@ -3,6 +3,7 @@ let udp_header = 8
 let tcp_header = 20
 let icmp_header = 8
 let openvpn_overhead = ipv4_header + udp_header + 13
+let openvpn_port = 1194
 let ethernet_mtu = 1500
 let default_udp_payload = 1430
 

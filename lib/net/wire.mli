@@ -14,6 +14,11 @@ val openvpn_overhead : int
 (** Extra bytes OpenVPN adds per tunnelled packet: outer IP + UDP plus
     crypto framing (~41 bytes with the default cipher). *)
 
+val openvpn_port : int
+(** 1194, the UDP port an opt-in client's tunnel reaches its ingress on:
+    both ends ({!Vini_overlay.Openvpn} and {!Vini_overlay.Iias}) read
+    it from here. *)
+
 val ethernet_mtu : int (* 1500 *)
 
 val default_udp_payload : int (* 1430 bytes — the iperf UDP payload size used throughout §5. *)

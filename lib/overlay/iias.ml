@@ -4,6 +4,7 @@ module Span = Vini_sim.Span
 module Packet = Vini_net.Packet
 module Addr = Vini_net.Addr
 module Prefix = Vini_net.Prefix
+module Wire = Vini_net.Wire
 module Graph = Vini_topo.Graph
 module Pnode = Vini_phys.Pnode
 module Process = Vini_phys.Process
@@ -29,7 +30,6 @@ type routing_choice =
 let default_ospf =
   Ospf_routing { hello = Time.sec 5; dead = Time.sec 10; spf_delay = Time.ms 200 }
 
-let vpn_port = 1194
 let private_space = Prefix.of_string "10.0.0.0/8"
 
 (* What the FIB tells the data plane to do with a destination. *)
@@ -287,7 +287,8 @@ and vpn_out vn pkt =
          packet's causal tree. *)
       let outer =
         Packet.udp ~orig:pkt.Packet.orig ~src:(Pnode.addr vn.node)
-          ~dst:client_pub ~sport:vpn_port ~dport:client_port (Packet.Vpn pkt)
+          ~dst:client_pub ~sport:Wire.openvpn_port ~dport:client_port
+          (Packet.Vpn pkt)
       in
       if Span.on () then
         Span.instant ~pkt:outer.Packet.id ~orig:outer.Packet.orig
@@ -362,7 +363,7 @@ let click_handler t vn ~host (pkt : Packet.t) =
           drop_span vn inner ~reason:"corrupt"
         end
     | Packet.Udp { udport; usport; body = Packet.Vpn inner; _ }
-      when udport = vpn_port ->
+      when udport = Wire.openvpn_port ->
         vn.n_vpn_in <- vn.n_vpn_in + 1;
         (* Learn/refresh the client's location for return traffic. *)
         Hashtbl.replace vn.vpn_clients inner.Packet.src
@@ -665,7 +666,7 @@ let enable_ingress t v ~pool =
   assert_not_started t "enable_ingress";
   let vn = t.vnodes.(v) in
   vn.ingress_pool <- Some pool;
-  ignore (Process.open_socket vn.proc ~port:vpn_port ())
+  ignore (Process.open_socket vn.proc ~port:Wire.openvpn_port ())
 
 (* Prefixes a virtual node owns and advertises. *)
 let local_prefixes vn =
@@ -823,7 +824,7 @@ let migrate_vnode t v ~pnode:pid =
   vn.napt <- Napt.create ~public_addr:(Pnode.addr target) ();
   Hashtbl.reset vn.bound_napt_ports;
   if vn.ingress_pool <> None then
-    ignore (Process.open_socket proc ~port:vpn_port ());
+    ignore (Process.open_socket proc ~port:Wire.openvpn_port ());
   if vn.egress then install_egress_icmp vn;
   if t.started then begin
     ignore
@@ -895,7 +896,7 @@ let begin_migration t v ~pnode:pid =
     (Process.open_socket proc ~port:t.tunnel_port
        ~rcvbuf_bytes:t.tunnel_rcvbuf_bytes ());
   if vn.ingress_pool <> None then
-    ignore (Process.open_socket proc ~port:vpn_port ());
+    ignore (Process.open_socket proc ~port:Wire.openvpn_port ());
   Hashtbl.replace t.pending_migs v
     {
       pm_target = pid;

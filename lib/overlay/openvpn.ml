@@ -2,6 +2,7 @@ module Packet = Vini_net.Packet
 module Addr = Vini_net.Addr
 module Pnode = Vini_phys.Pnode
 module Ipstack = Vini_phys.Ipstack
+module Wire = Vini_net.Wire
 
 type t = {
   host : Pnode.t;
@@ -10,9 +11,6 @@ type t = {
   tun : Ipstack.t;
   client_vaddr : Addr.t;
 }
-
-(* The ingress listens here ([Iias]'s [vpn_port]). *)
-let server_port = 1194
 
 let connect ~host ~server ~vaddr () =
   let host_stack = Pnode.stack host in
@@ -33,7 +31,7 @@ let connect ~host ~server ~vaddr () =
                  packet's causal tree. *)
               let outer =
                 Packet.udp ~orig:inner.Packet.orig ~src:(Pnode.addr t.host)
-                  ~dst:t.server ~sport:t.client_port ~dport:server_port
+                  ~dst:t.server ~sport:t.client_port ~dport:Wire.openvpn_port
                   (Packet.Vpn inner)
               in
               Pnode.send t.host outer)
@@ -50,7 +48,7 @@ let connect ~host ~server ~vaddr () =
   (* Greet the ingress so it learns where this client lives: a packet to
      our own overlay address bounces off the ingress and back. *)
   Ipstack.send t.tun
-    (Packet.udp ~src:vaddr ~dst:vaddr ~sport:client_port ~dport:server_port
+    (Packet.udp ~src:vaddr ~dst:vaddr ~sport:client_port ~dport:Wire.openvpn_port
        (Packet.Probe { Packet.flow = 0; seq = 0; sent_ns = 0; pad = 16 }));
   t
 
@@ -65,7 +63,6 @@ let vaddr t = t.client_vaddr
 let wire_bytes ~payload =
   if payload <= 0 then 0
   else
-    let module Wire = Vini_net.Wire in
     let mss = Wire.ethernet_mtu - Wire.openvpn_overhead - Wire.ipv4_header in
     let packets = (payload + mss - 1) / mss in
     payload + (packets * (Wire.ipv4_header + Wire.openvpn_overhead))

@@ -16,7 +16,8 @@ val connect :
   unit ->
   t
 (** [host] is the client machine; [server] the ingress node's public
-    address, reached on OpenVPN's port 1194; [vaddr] the client's overlay
+    address, reached on OpenVPN's port
+    ({!Vini_net.Wire.openvpn_port}); [vaddr] the client's overlay
     address (allocated with [Iias.alloc_vpn_addr]).  A greeting packet
     registers the client with the ingress immediately. *)
 

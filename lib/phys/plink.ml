@@ -162,8 +162,12 @@ let set_background t ~dir ~delay ~loss =
   if Time.compare delay Time.zero < 0 then
     invalid_arg "Plink.set_background: delay";
   let d = t.dirs.(dir) in
-  d.bg_delay <- delay;
-  d.bg_loss <- loss
+  (* Store only a change: [dir_state] mixes ints and floats, so a write
+     to [bg_loss] boxes the float, and the fluid fold re-sets every
+     queue's pressure each tick, mostly to the value already there. *)
+  if Time.compare d.bg_delay delay <> 0 then d.bg_delay <- delay;
+  if Float.compare d.bg_loss loss <> 0 then d.bg_loss <- loss
+[@@inline]
 
 let stats t ~dir =
   let d = t.dirs.(dir) in

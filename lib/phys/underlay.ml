@@ -40,7 +40,7 @@ type t = {
      writer. *)
   plinks : Plink.t array;
   (* hop.(s) = the neighbour slot [s] leads to: [Graph.slot_target],
-     kept here because every packet and every fluid hop reads it. *)
+     kept here because every packet hop reads it. *)
   hop : int array;
   mask_failures : bool;
   (* nh.(from * n + dst) = the slot out of [from] on the current shortest
@@ -48,9 +48,11 @@ type t = {
      unreachable).  Ignores link state: under exposure a route through a
      cut link stands.  Refilled in place by [recompute_routes]. *)
   nh : int array;
-  (* fwd.(from * n + dst) = nh's slot when its link is up, else -1 (the
-     packet would blackhole): the packet path's one load.  Refilled in
-     place on every route recomputation and link-state flip. *)
+  (* fwd.(dst * n + from) = nh's (from, dst) slot when its link is up,
+     else -1 (the packet would blackhole): the packet path's one load.
+     Destination-major, the transpose of [nh]: every hop of one packet or
+     fluid flow reads the same row [dst].  Refilled in place on every
+     route recomputation and link-state flip. *)
   fwd : int array;
   spf : spf;
   mutable subscribers : (event -> unit) list;
@@ -82,9 +84,13 @@ let rec resolve graph nh prev base src v =
   end
 
 let rebuild_fwd t =
-  for i = 0 to Array.length t.nh - 1 do
-    let s = t.nh.(i) in
-    t.fwd.(i) <- (if s >= 0 && Plink.is_up t.plinks.(s) then s else -1)
+  let n = Array.length t.pnodes in
+  for dst = 0 to n - 1 do
+    let row = dst * n in
+    for from = 0 to n - 1 do
+      let s = t.nh.((from * n) + dst) in
+      t.fwd.(row + from) <- (if s >= 0 && Plink.is_up t.plinks.(s) then s else -1)
+    done
   done
 
 (* Per-packet destination resolve: the node id is the address's offset
@@ -187,7 +193,7 @@ and forward ?(inline = false) t nid pkt =
     let dst_id = node_id_of_dst t pkt.Packet.dst in
     if dst_id < 0 then t.blackholed <- t.blackholed + 1
     else
-      let s = t.fwd.((nid * Array.length t.pnodes) + dst_id) in
+      let s = t.fwd.((dst_id * Array.length t.pnodes) + nid) in
       if s < 0 then t.blackholed <- t.blackholed + 1
       else
         match Packet.decr_ttl pkt with
@@ -269,20 +275,18 @@ let node_is_up t i = Pnode.is_up t.pnodes.(i)
 
 let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
 
-(* The (from, dst) cell of [nh] and [fwd]; checking [dst] leaves the
-   array's own bounds check to catch a bad [from]. *)
-let cell t ~from ~dst =
+(* The cell [row * n + col] of an n-by-n table; checking [col] leaves
+   the array's own bounds check to catch a bad [row]. *)
+let cell t ~row ~col =
   let n = Array.length t.pnodes in
-  if dst < 0 || dst >= n then invalid_arg "Underlay: node out of range";
-  (from * n) + dst
+  if col < 0 || col >= n then invalid_arg "Underlay: node out of range";
+  (row * n) + col
 [@@inline]
 
 let next_hop t ~from ~dst =
-  let s = t.nh.(cell t ~from ~dst) in
+  let s = t.nh.(cell t ~row:from ~col:dst) in
   if s < 0 then None else Some t.hop.(s)
 
-let forward_hop t ~from ~dst =
-  let s = t.fwd.(cell t ~from ~dst) in
-  if s < 0 then -1 else t.hop.(s)
+let forward_slot t ~from ~dst = t.fwd.(cell t ~row:dst ~col:from) [@@inline]
 
 let blackholed t = t.blackholed

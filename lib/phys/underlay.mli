@@ -78,13 +78,15 @@ val next_hop :
     allocates.
     @raise Invalid_argument when a node id is out of range. *)
 
-val forward_hop :
-  t -> from:Vini_topo.Graph.node_id -> dst:Vini_topo.Graph.node_id ->
-  Vini_topo.Graph.node_id
-(** Where a packet at [from] for [dst] goes next: {!next_hop} when the
-    link to it is up, -1 when the packet would blackhole (no route, or
-    the link is down).  Reads the flat forwarding table the packet path
-    uses: a range check and two array loads, allocates nothing.
+val forward_slot :
+  t -> from:Vini_topo.Graph.node_id -> dst:Vini_topo.Graph.node_id -> int
+(** The adjacency slot ({!Vini_topo.Graph.first_slot}) by which a packet
+    at [from] for [dst] leaves: {!next_hop}'s slot when its link is up,
+    -1 when the packet would blackhole (no route, or the link is down).
+    {!Vini_topo.Graph.slot_target} of it is the next node.  Reads the
+    flat forwarding table the packet path uses, stored destination-major
+    so every hop towards one [dst] reads one row: a range check and one
+    array load, allocates nothing.
     @raise Invalid_argument when a node id is out of range. *)
 
 val blackholed : t -> int

@@ -43,9 +43,6 @@ type totals = {
   backlog_bytes : float;
 }
 
-let zero_load =
-  { util = 0.0; queue_delay = Time.zero; loss = 0.0; offered_bps = 0.0 }
-
 (* Running link-level sums.  An all-float record is stored flat, so the
    per-hop updates in [fold] allocate nothing. *)
 type sums = {
@@ -57,7 +54,9 @@ type sums = {
 (* One fluid queue per directed substrate link, [2i] for link [i]'s
    min->max direction and [2i+1] for max->min.  [inflow] accumulates
    demand routed onto the link since the last fold; the fold drains it
-   against capacity and leaves [backlog]. *)
+   against capacity and leaves [backlog].  Each queue's load as of the
+   last fold sits in flat arrays ([util] .. [queue_delay]) that the fold
+   overwrites in place; [link_load] and [to_json] read them. *)
 type t = {
   cfg : config;
   under : Underlay.t;
@@ -65,9 +64,14 @@ type t = {
   stream : Workload.t;
   links : Graph.link array;  (* indexed link table, list order *)
   plinks : Plink.t array;  (* by link index *)
+  (* slot_queue.(s) = the directed queue adjacency slot [s] feeds *)
+  slot_queue : int array;
   backlog : float array;  (* bytes queued, by directed queue *)
   inflow : float array;  (* bytes arrived this tick, by directed queue *)
-  last : link_load array;  (* as of the last fold, for readers *)
+  util : float array;
+  loss : float array;
+  offered_bps : float array;
+  queue_delay : int array;  (* a [Time.t] per queue *)
   path : int array;  (* one flow's queues, hop by hop; see [walk] *)
   sums : sums;
   mutable flows : int;
@@ -80,21 +84,21 @@ let dir_of (u : int) v = if u < v then 0 else 1
 (* The directed queue u->v, or -1 when u and v are not adjacent. *)
 let queue_to t u v =
   let s = Graph.find_slot t.graph u v in
-  if s < 0 then -1 else (2 * Graph.slot_link t.graph s) + dir_of u v
+  if s < 0 then -1 else t.slot_queue.(s)
 
-(* Follow the forwarding table from [u] to [dst], writing the directed
-   queue of hop [i] to [path.(i)].  Returns the hop count, or -1 when the
-   walk blackholes or outgrows [path] (one more than the node count: a
-   routing loop). *)
+(* Follow the forwarding table from [u] to [dst] slot by slot, writing
+   the directed queue of hop [i] to [path.(i)].  Returns the hop count,
+   or -1 when the walk blackholes or outgrows [path] (one more than the
+   node count: a routing loop). *)
 let rec walk t ~dst hops u =
   if u = dst then hops
   else if hops = Array.length t.path then -1
   else begin
-    let v = Underlay.forward_hop t.under ~from:u ~dst in
-    if v < 0 then -1
+    let s = Underlay.forward_slot t.under ~from:u ~dst in
+    if s < 0 then -1
     else begin
-      t.path.(hops) <- queue_to t u v;
-      walk t ~dst (hops + 1) v
+      t.path.(hops) <- t.slot_queue.(s);
+      walk t ~dst (hops + 1) (Graph.slot_target t.graph s)
     end
   end
 
@@ -148,23 +152,20 @@ let fold t =
     t.backlog.(qi) <- backlog;
     sums.drained <- sums.drained +. drained;
     sums.dropped <- sums.dropped +. dropped;
-    let load =
-      {
-        util =
-          (if cap_bytes_s *. tick_s > 0.0 then
-             Float.min 1.0 (drained /. (cap_bytes_s *. tick_s))
-           else 0.0);
-        queue_delay = Time.of_sec_f (backlog /. cap_bytes_s);
-        loss = (if total > 0.0 then Float.min 1.0 (dropped /. total) else 0.0);
-        offered_bps = arrived *. 8.0 /. tick_s;
-      }
-    in
-    t.last.(qi) <- load;
+    let queue_delay = Time.of_sec_f (backlog /. cap_bytes_s) in
+    let loss = if total > 0.0 then Float.min 1.0 (dropped /. total) else 0.0 in
+    t.util.(qi) <-
+      (if cap_bytes_s *. tick_s > 0.0 then
+         Float.min 1.0 (drained /. (cap_bytes_s *. tick_s))
+       else 0.0);
+    t.queue_delay.(qi) <- queue_delay;
+    t.loss.(qi) <- loss;
+    t.offered_bps.(qi) <- arrived *. 8.0 /. tick_s;
     (* 3. Hybrid coupling: the packet path on this link sees the fluid
        queue as added delay and loss pressure. *)
     if t.cfg.fidelity = Hybrid && up then
-      Plink.set_background t.plinks.(li) ~dir:(qi mod 2)
-        ~delay:load.queue_delay ~loss:load.loss
+      Plink.set_background t.plinks.(li) ~dir:(qi mod 2) ~delay:queue_delay
+        ~loss
   done
 
 let install ~under cfg =
@@ -176,6 +177,13 @@ let install ~under cfg =
   let graph = Underlay.graph under in
   let links = Array.of_list (Graph.links graph) in
   let nq = 2 * Array.length links in
+  let slot_queue = Array.make (Graph.slot_count graph) 0 in
+  for u = 0 to Graph.node_count graph - 1 do
+    for s = Graph.first_slot graph u to Graph.first_slot graph (u + 1) - 1 do
+      slot_queue.(s) <-
+        (2 * Graph.slot_link graph s) + dir_of u (Graph.slot_target graph s)
+    done
+  done;
   let t =
     {
       cfg;
@@ -184,9 +192,13 @@ let install ~under cfg =
       stream = Workload.create cfg.workload ~nodes:(Graph.node_count graph);
       links;
       plinks = Array.map (fun (l : Graph.link) -> Underlay.plink under l.a l.b) links;
+      slot_queue;
       backlog = Array.make nq 0.0;
       inflow = Array.make nq 0.0;
-      last = Array.make nq zero_load;
+      util = Array.make nq 0.0;
+      loss = Array.make nq 0.0;
+      offered_bps = Array.make nq 0.0;
+      queue_delay = Array.make nq Time.zero;
       path = Array.make (Graph.node_count graph + 1) 0;
       sums = { offered = 0.0; drained = 0.0; dropped = 0.0 };
       flows = 0;
@@ -214,9 +226,17 @@ let totals t =
     backlog_bytes = Array.fold_left ( +. ) 0.0 t.backlog;
   }
 
+let load t qi =
+  {
+    util = t.util.(qi);
+    queue_delay = t.queue_delay.(qi);
+    loss = t.loss.(qi);
+    offered_bps = t.offered_bps.(qi);
+  }
+
 let link_load t ~a ~b =
   let qi = queue_to t a b in
-  if qi < 0 then raise Not_found else t.last.(qi)
+  if qi < 0 then raise Not_found else load t qi
 
 let ticks t = t.ticks
 
@@ -229,7 +249,7 @@ let to_json t =
            List.map
              (fun d ->
                let qi = (2 * li) + d in
-               let last = t.last.(qi) in
+               let last = load t qi in
                let u, v =
                  if d = 0 then (l.Graph.a, l.Graph.b) else (l.Graph.b, l.Graph.a)
                in

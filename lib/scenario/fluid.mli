@@ -65,8 +65,8 @@ val install :
   under:Vini_phys.Underlay.t -> config -> t
 (** Create the model and schedule its recurring tick on the
     underlay's engine, starting one tick from now.  Each fold walks
-    every due flow along the underlay's forwarding table
-    ({!Vini_phys.Underlay.forward_hop}), the one packets read, so chaos
+    every due flow slot by slot along the underlay's forwarding table
+    ({!Vini_phys.Underlay.forward_slot}), the one packets read, so chaos
     events redirect background load like they redirect packets; a flow
     that cannot reach its destination is dropped whole at the edge.
     @raise Invalid_argument if the tick is not positive or the workload

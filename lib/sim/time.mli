@@ -20,12 +20,19 @@ val us : int -> t
 val ms : int -> t
 val sec : int -> t
 
+val of_ns_f : float -> t
+(** Round a float count of nanoseconds to the nearest whole one, halves
+    away from zero: [int_of_float (Float.round x)], without calling libm
+    below 2^52. *)
+
 val of_sec_f : float -> t
-(** Round a float duration in seconds to whole nanoseconds. *)
+(** Round a float duration in seconds to whole nanoseconds
+    ([of_ns_f (s *. 1e9)]). *)
 
 val to_sec_f : t -> float
 val to_ms_f : t -> float
 val of_ms_f : float -> t
+(** [of_ns_f (m *. 1e6)]. *)
 
 val add : t -> t -> t
 val sub : t -> t -> t

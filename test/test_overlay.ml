@@ -467,6 +467,50 @@ let test_vpn_client_to_client () =
           (Vini_overlay.Openvpn.vaddr va)
           (Vini_overlay.Openvpn.vaddr vb)))
 
+(* The client sends to the port the ingress listens on: every datagram
+   through the tun reaches the ingress's VPN socket and is decapsulated
+   there.  Fails if the two ends stop sharing [Wire.openvpn_port]. *)
+let test_vpn_datagrams_reach_ingress () =
+  let engine = Engine.create ~seed:29 () in
+  let mk a b =
+    { Graph.a; b; bandwidth_bps = 1e9; delay = Time.ms 2; loss = 0.0; weight = 1 }
+  in
+  let graph =
+    Graph.create ~names:[| "p0"; "p1"; "home" |] ~links:[ mk 0 1; mk 0 2 ]
+  in
+  let underlay =
+    Underlay.create ~engine
+      ~rng:(Vini_std.Rng.split (Engine.rng engine))
+      ~graph ()
+  in
+  let vtopo = Graph.create ~names:[| "v0"; "v1" |] ~links:[ mk 0 1 ] in
+  let iias =
+    Iias.create ~underlay ~slice:(Slice.pl_vini "port") ~vtopo ~embedding:Fun.id ()
+  in
+  Iias.enable_ingress iias 0 ~pool:(Vini_net.Prefix.of_string "10.8.0.0/24");
+  Iias.start iias;
+  Engine.run ~until:(Time.sec 15) engine;
+  let vaddr = Iias.alloc_vpn_addr iias 0 in
+  let vpn =
+    Vini_overlay.Openvpn.connect ~host:(Underlay.node underlay 2)
+      ~server:(Underlay.addr underlay 0) ~vaddr ()
+  in
+  Engine.run ~until:(Time.sec 16) engine;
+  let vpn_in () = (Iias.stats (Iias.vnode iias 0)).Iias.vpn_in in
+  let greeted = vpn_in () in
+  check Alcotest.int "the greeting reached the ingress" 1 greeted;
+  let sent = 20 in
+  for i = 1 to sent do
+    Ipstack.send (Vini_overlay.Openvpn.stack vpn)
+      (Vini_net.Packet.udp ~src:vaddr ~dst:(Iias.tap_addr (Iias.vnode iias 1))
+         ~sport:4000 ~dport:4000
+         (Vini_net.Packet.Probe
+            { Vini_net.Packet.flow = 1; seq = i; sent_ns = 0; pad = 64 }))
+  done;
+  Engine.run ~until:(Time.sec 17) engine;
+  check Alcotest.int "every datagram decapsulated at the ingress" sent
+    (vpn_in () - greeted)
+
 let test_bgp_rides_the_overlay () =
   (* Two protocols in one virtual network (the §7 usage): OSPF computes
      intra-overlay routes; an iBGP full mesh rides the same tunnels to
@@ -627,6 +671,8 @@ let suite =
     Alcotest.test_case "vlink bandwidth cap" `Quick test_vlink_bandwidth_cap;
     Alcotest.test_case "vlink cost maintenance" `Quick test_vlink_cost_maintenance;
     Alcotest.test_case "vpn client-to-client" `Quick test_vpn_client_to_client;
+    Alcotest.test_case "vpn datagrams reach the ingress socket" `Quick
+      test_vpn_datagrams_reach_ingress;
     Alcotest.test_case "bgp rides the overlay" `Quick test_bgp_rides_the_overlay;
     Alcotest.test_case "overlay at scale (16 nodes)" `Quick test_overlay_at_scale;
   ]

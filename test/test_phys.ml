@@ -355,7 +355,8 @@ let test_underlay_upcalls () =
    the underlay routes on — link and end-node state when masking, the
    creation-time weights when not (an exposed underlay never reroutes).
    The forwarding table must send a packet on exactly when that next hop
-   exists and its link is up. *)
+   exists and its link is up, by the slot [Graph.find_slot] gives that
+   hop. *)
 let oracle_next_hop prev ~from ~dst =
   let rec back v =
     match prev.(v) with
@@ -401,13 +402,22 @@ let prop_next_hop_table =
               let want = oracle_next_hop prev ~from ~dst in
               let fwd_want =
                 match want with
-                | Some v when Plink.is_up (Underlay.plink u from v) -> v
+                | Some v when Plink.is_up (Underlay.plink u from v) ->
+                    Graph.find_slot graph from v
                 | _ -> -1
               in
               Underlay.next_hop u ~from ~dst = want
-              && Underlay.forward_hop u ~from ~dst = fwd_want)
+              && Underlay.forward_slot u ~from ~dst = fwd_want)
             (Graph.nodes graph))
-        (Graph.nodes graph))
+        (Graph.nodes graph)
+      (* The table is destination-major: a node id past either end is
+         still rejected, not read from a neighbouring row. *)
+      && List.for_all
+           (fun (from, dst) ->
+             match Underlay.forward_slot u ~from ~dst with
+             | exception Invalid_argument _ -> true
+             | _ -> false)
+           [ (n, 0); (0, n); (-1, n - 1); (n - 1, -1) ])
 
 (* Node addresses run from 198.32.154.10 across the 154 -> 155 boundary
    (node 246 is 198.32.155.0); a destination resolves to a node by its
@@ -438,10 +448,11 @@ let test_underlay_address_boundary () =
           let want =
             Option.value ~default:(-1) (oracle_next_hop prev ~from ~dst)
           in
+          let s = Underlay.forward_slot u ~from ~dst in
           check Alcotest.int
-            (Printf.sprintf "forward_hop %d -> %d" from dst)
+            (Printf.sprintf "forward_slot %d -> %d" from dst)
             want
-            (Underlay.forward_hop u ~from ~dst))
+            (if s < 0 then -1 else Graph.slot_target graph s))
         [ 245; 246; 299 ])
     [ 0; 200; 246; 299 ];
   let src = Underlay.node u 200 and dst = Underlay.node u 250 in

@@ -363,6 +363,163 @@ let test_fluid_partition_drops_at_edge () =
   then Alcotest.fail "edge drops must be counted as dropped";
   check Alcotest.bool "conserved across the partition" true (conserved after)
 
+(* The fold against an oracle that walks each flow hop by hop through
+   [Underlay.next_hop], a link-state check and [Graph.find_slot], and
+   rebuilds every directed queue's [link_load] record with the drain
+   arithmetic and [Float.round].  Across a link cut and a node crash
+   (each a reroute), the fold's slot walk must pick the same queues and
+   its flat per-queue state must read back as the same records, through
+   [link_load] and through [to_json]. *)
+let test_fluid_matches_hop_walk () =
+  let seed = 6 and users = 40_000_000 in
+  let engine, under, fl = make_fluid ~users ~seed () in
+  let graph = Underlay.graph under in
+  let n = Graph.node_count graph in
+  let links = Array.of_list (Graph.links graph) in
+  let nq = 2 * Array.length links in
+  let queue u v =
+    (2 * Graph.slot_link graph (Graph.find_slot graph u v))
+    + if u < v then 0 else 1
+  in
+  let backlog = Array.make nq 0.0 and inflow = Array.make nq 0.0 in
+  let want =
+    Array.make nq
+      { Fluid.util = 0.0; queue_delay = Time.zero; loss = 0.0; offered_bps = 0.0 }
+  in
+  let stream =
+    Workload.create (Workload.default ~users ~seed:(seed + 1)) ~nodes:n
+  in
+  let path = Array.make (n + 1) 0 in
+  let rec walk ~dst hops u =
+    if u = dst then hops
+    else if hops = n + 1 then -1
+    else
+      match Underlay.next_hop under ~from:u ~dst with
+      | Some v when Underlay.link_is_up under u v ->
+          path.(hops) <- queue u v;
+          walk ~dst (hops + 1) v
+      | _ -> -1
+  in
+  let tick_s = Time.to_sec_f Fluid.default_tick in
+  let fold now =
+    while Time.compare (Workload.peek_time stream) now <= 0 do
+      let f = Workload.next stream in
+      let bytes = float_of_int f.Workload.wire_bytes in
+      for i = 0 to walk ~dst:f.Workload.dst_node 0 f.Workload.src_node - 1 do
+        inflow.(path.(i)) <- inflow.(path.(i)) +. bytes
+      done
+    done;
+    Array.iteri
+      (fun li (l : Graph.link) ->
+        let cap = l.Graph.bandwidth_bps /. 8.0 in
+        let up = Underlay.link_is_up under l.Graph.a l.Graph.b in
+        for d = 0 to 1 do
+          let qi = (2 * li) + d in
+          let arrived = inflow.(qi) in
+          let total = backlog.(qi) +. arrived in
+          let drained = if up then Float.min total (cap *. tick_s) else 0.0 in
+          let dropped =
+            if up then
+              Float.max 0.0
+                (total -. drained
+                -. float_of_int Vini_phys.Calibration.link_queue_bytes)
+            else total
+          in
+          let left = if up then total -. drained -. dropped else 0.0 in
+          inflow.(qi) <- 0.0;
+          backlog.(qi) <- left;
+          want.(qi) <-
+            {
+              Fluid.util = Float.min 1.0 (drained /. (cap *. tick_s));
+              queue_delay = int_of_float (Float.round (left /. cap *. 1e9));
+              loss = (if total > 0.0 then Float.min 1.0 (dropped /. total) else 0.0);
+              offered_bps = arrived *. 8.0 /. tick_s;
+            }
+        done)
+      links
+  in
+  let pp_load ppf (r : Fluid.link_load) =
+    Format.fprintf ppf "{util %h; delay %d; loss %h; offered %h}" r.Fluid.util
+      r.Fluid.queue_delay r.Fluid.loss r.Fluid.offered_bps
+  in
+  let load = Alcotest.testable pp_load ( = ) in
+  let exact = Alcotest.float 0.0 in
+  let compare_tick k =
+    Array.iter
+      (fun (l : Graph.link) ->
+        List.iter
+          (fun (a, b) ->
+            check load
+              (Printf.sprintf "tick %d: link_load %d->%d" k a b)
+              want.(queue a b) (Fluid.link_load fl ~a ~b))
+          [ (l.Graph.a, l.Graph.b); (l.Graph.b, l.Graph.a) ])
+      links;
+    let rows =
+      Option.bind (Json.member "links" (Fluid.to_json fl)) Json.to_list
+      |> Option.value ~default:[]
+    in
+    check Alcotest.int "one to_json row per queue" nq (List.length rows);
+    List.iteri
+      (fun qi row ->
+        let num key =
+          match Option.bind (Json.member key row) Json.to_float with
+          | Some x -> x
+          | None -> Alcotest.failf "to_json row %d has no %s" qi key
+        in
+        let w = want.(qi) and name key = Printf.sprintf "tick %d: %s of queue %d" k key qi in
+        check exact (name "util") w.Fluid.util (num "util");
+        check exact (name "queue_delay_ms")
+          (Time.to_ms_f w.Fluid.queue_delay) (num "queue_delay_ms");
+        check exact (name "loss") w.Fluid.loss (num "loss");
+        check exact (name "offered_bps") w.Fluid.offered_bps (num "offered_bps");
+        check exact (name "backlog_bytes") backlog.(qi) (num "backlog_bytes"))
+      rows
+  in
+  let busiest () =
+    let best = ref (-1, -1, 0.0) in
+    Array.iter
+      (fun (l : Graph.link) ->
+        let survivable =
+          connected_without graph ~node:(-1) ~cut:(fun l' -> l' == l)
+        in
+        List.iter
+          (fun (a, b) ->
+            let o = (Fluid.link_load fl ~a ~b).Fluid.offered_bps in
+            let _, _, top = !best in
+            if survivable && o > top then best := (a, b, o))
+          [ (l.Graph.a, l.Graph.b); (l.Graph.b, l.Graph.a) ])
+      links;
+    let a, b, _ = !best in
+    (a, b)
+  in
+  let lossy = ref false and delayed = ref false in
+  for k = 1 to 24 do
+    let now = Time.mul Fluid.default_tick k in
+    Engine.run ~until:now engine;
+    fold now;
+    check Alcotest.int "one fold per tick" k (Fluid.ticks fl);
+    compare_tick k;
+    Array.iter
+      (fun (r : Fluid.link_load) ->
+        if r.Fluid.loss > 0.0 then lossy := true;
+        if r.Fluid.queue_delay > 0 then delayed := true)
+      want;
+    if k = 8 then begin
+      let a, b = busiest () in
+      Underlay.set_link_state under a b false
+    end;
+    if k = 16 then begin
+      let x =
+        List.find
+          (fun x -> connected_without graph ~node:x ~cut:(fun _ -> false))
+          (List.rev (Graph.nodes graph))
+      in
+      Underlay.set_node_state under x false
+    end
+  done;
+  check Alcotest.bool "the oracle saw queueing and loss" true
+    (!lossy && !delayed)
+
 (* Fluid loss reaching packets: under the 40M-user overload the fluid
    queues shed, and hybrid fidelity pushes that loss into the packet path
    of a UDP stream crossing a shedding link. *)
@@ -564,6 +721,8 @@ let suite =
       test_fluid_follows_reroute;
     Alcotest.test_case "a partitioned node's flows drop at the edge" `Quick
       test_fluid_partition_drops_at_edge;
+    Alcotest.test_case "fluid queues and loads match a hop-by-hop walk" `Quick
+      test_fluid_matches_hop_walk;
     Alcotest.test_case "hybrid fluid loss reaches packets" `Quick
       test_hybrid_loss_reaches_packets;
     Alcotest.test_case "spec verbs parse and resolve" `Quick

@@ -21,6 +21,32 @@ let test_time_arith () =
   check time "min" (Time.sec 1) (Time.min (Time.sec 1) (Time.sec 2));
   check time "max" (Time.sec 2) (Time.max (Time.sec 1) (Time.sec 2))
 
+(* [of_ns_f] rounds without libm, and must agree with
+   [int_of_float (Float.round x)] everywhere: on ties, just below a tie,
+   around 2^52 where the fraction runs out, on -0.0 and nan, and on
+   random values across magnitudes. *)
+let test_time_rounding () =
+  let want x = int_of_float (Float.round x) in
+  let p52 = 4503599627370496.0 in
+  List.iter
+    (fun x ->
+      check Alcotest.int (Printf.sprintf "of_ns_f %h" x) (want x) (Time.of_ns_f x))
+    [ 0.5; -0.5; 2.5; -2.5; 1.5; -1.5; 0.49999999999999994;
+      -0.49999999999999994; p52 -. 1.0; p52; p52 +. 1.0; -.p52 -. 1.0; -.p52;
+      -.p52 +. 1.0; p52 -. 0.5; -.p52 +. 0.5; -0.0; 0.0; nan ];
+  let rng = Vini_std.Rng.create 2024 in
+  for _ = 1 to 100_000 do
+    let mag = 10.0 ** Vini_std.Rng.uniform rng (-3.0) 18.0 in
+    let x = Vini_std.Rng.uniform rng (-.mag) mag in
+    if Time.of_ns_f x <> want x then
+      Alcotest.failf "of_ns_f %h = %d, Float.round gives %d" x (Time.of_ns_f x)
+        (want x)
+  done;
+  check time "of_sec_f rounds a tie up" (Time.ns 976563)
+    (Time.of_sec_f (1.0 /. 1024.0));
+  check time "of_ms_f rounds a negative tie down" (Time.ns (-7813))
+    (Time.of_ms_f (-1.0 /. 128.0))
+
 let test_engine_ordering () =
   let e = Engine.create () in
   let log = ref [] in
@@ -432,6 +458,8 @@ let suite =
   [
     Alcotest.test_case "time units" `Quick test_time_units;
     Alcotest.test_case "time arithmetic" `Quick test_time_arith;
+    Alcotest.test_case "time rounding matches Float.round" `Quick
+      test_time_rounding;
     Alcotest.test_case "events fire in order" `Quick test_engine_ordering;
     Alcotest.test_case "equal times are fifo" `Quick test_engine_same_time_fifo;
     Alcotest.test_case "clock advances" `Quick test_engine_clock_advances;

@@ -83,6 +83,32 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   check Alcotest.(array int) "same elements" (Array.init 50 Fun.id) sorted
 
+(* The stream itself, pinned: the MD5 of the first 1,000 [bits64] (one
+   16-digit hex line each) and the first three values, for seeds 1 and
+   42 and for the child [split] takes from seed 42, so that no change to
+   the generator's state or arithmetic can move a seeded run unnoticed. *)
+let test_rng_stream_pinned () =
+  let pin name r ~digest ~first =
+    let b = Buffer.create 17_000 in
+    let head = ref [] in
+    for i = 1 to 1000 do
+      let v = Rng.bits64 r in
+      if i <= 3 then head := v :: !head;
+      Buffer.add_string b (Printf.sprintf "%016Lx\n" v)
+    done;
+    check Alcotest.(list int64) (name ^ " first draws") first (List.rev !head);
+    check Alcotest.string (name ^ " 1000 draws") digest
+      (Digest.to_hex (Digest.string (Buffer.contents b)))
+  in
+  pin "seed 1" (Rng.create 1) ~digest:"540d9f573223596257c67d22f773bd54"
+    ~first:[ 0xbfef8030ddc2d772L; 0x5f552ce482f2aa47L; 0x70335fc3daf3d8a7L ];
+  pin "seed 42" (Rng.create 42) ~digest:"4fac9cfe924389ea25d0265b237226e3"
+    ~first:[ 0x989b3f130a063869L; 0x290db4bf2570ded7L; 0x2a990be63a01b2d5L ];
+  pin "split of seed 42"
+    (Rng.split (Rng.create 42))
+    ~digest:"4dd3881cfcf0e8114e37ef9fc7edf126"
+    ~first:[ 0x5599b3e06d073327L; 0xd6171d07a31128dfL; 0xed057ba08584c10bL ]
+
 (* --- heap -------------------------------------------------------------- *)
 
 let test_heap_sorted_drain () =
@@ -465,6 +491,7 @@ let suite =
     Alcotest.test_case "rng exponential mean" `Quick test_rng_exponential_mean;
     Alcotest.test_case "rng normal moments" `Quick test_rng_normal_moments;
     Alcotest.test_case "rng shuffle permutes" `Quick test_rng_shuffle_permutation;
+    Alcotest.test_case "rng stream pinned" `Quick test_rng_stream_pinned;
     Alcotest.test_case "heap sorted drain" `Quick test_heap_sorted_drain;
     Alcotest.test_case "heap stability" `Quick test_heap_stability;
     Alcotest.test_case "heap peek/length/clear" `Quick test_heap_peek_length;

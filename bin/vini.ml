@@ -355,12 +355,7 @@ let mirror_cmd =
     let text =
       match file with
       | None -> Vini_rcc.Rcc.abilene_text ()
-      | Some path ->
-          let ic = open_in path in
-          let n = in_channel_length ic in
-          let s = really_input_string ic n in
-          close_in ic;
-          s
+      | Some path -> In_channel.with_open_bin path In_channel.input_all
     in
     let cfgs =
       match Vini_rcc.Config.parse_many text with
@@ -504,12 +499,7 @@ let run_cmd =
     let text =
       match spec_file with
       | None -> Vini_core.Spec_lang.example
-      | Some path ->
-          let ic = open_in path in
-          let n = in_channel_length ic in
-          let s = really_input_string ic n in
-          close_in ic;
-          s
+      | Some path -> In_channel.with_open_bin path In_channel.input_all
     in
     let parsed =
       match Vini_core.Spec_lang.parse text with
@@ -900,10 +890,7 @@ let spans_cmd =
   let s_of k j = Option.value ~default:"?" (str k j) in
   let n_of k j = Option.value ~default:0.0 (num k j) in
   let run file check =
-    let ic = open_in file in
-    let n = in_channel_length ic in
-    let text = really_input_string ic n in
-    close_in ic;
+    let text = In_channel.with_open_bin file In_channel.input_all in
     let doc =
       match E.of_string text with
       | Ok doc -> doc
@@ -1029,10 +1016,7 @@ let spans_cmd =
 let top_cmd =
   let module E = Vini_measure.Export in
   let run file check =
-    let ic = open_in file in
-    let n = in_channel_length ic in
-    let text = really_input_string ic n in
-    close_in ic;
+    let text = In_channel.with_open_bin file In_channel.input_all in
     let doc =
       match E.of_string text with
       | Ok doc -> doc

@@ -107,7 +107,6 @@ let drop t ~reason pkt =
 let name t = t.name
 let packets t = t.packets
 let bytes t = t.bytes
-let drops t = t.drops
 
 let pump ring ~into ~out ~max =
   Batch.clear into;

@@ -71,9 +71,6 @@ val name : t -> string
 val packets : t -> int
 val bytes : t -> int
 
-val drops : t -> int
-(** Total drops recorded via {!drop}, any reason. *)
-
 val discard : string -> t
 (** Count-and-drop sink. *)
 

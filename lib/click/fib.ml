@@ -203,17 +203,6 @@ let lookup_prefix t addr_t =
       | None -> None)
   | None -> None
 
-let find_exact t prefix =
-  let len = Prefix.length prefix in
-  let net = Addr.to_int (Prefix.network prefix) in
-  let rec go n =
-    if n.plen = len then if n.net = net then n.value else None
-    else if n.plen < len && net land masks.(n.plen) = n.net then
-      match child n (bit_at net n.plen) with Some c -> go c | None -> None
-    else None
-  in
-  go t.root
-
 let entries t =
   let acc = ref [] in
   let rec walk n =
@@ -236,8 +225,3 @@ let clear t =
 let cache_hits t = t.hits
 let cache_misses t = t.misses
 let generation t = t.gen
-
-let pp pp_v ppf t =
-  List.iter
-    (fun (p, v) -> Format.fprintf ppf "%a -> %a@." Prefix.pp p pp_v v)
-    (entries t)

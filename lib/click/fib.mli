@@ -41,7 +41,6 @@ val lookup : 'a t -> Vini_net.Addr.t -> 'a option
 val lookup_prefix : 'a t -> Vini_net.Addr.t -> (Vini_net.Prefix.t * 'a) option
 (** Also reports which prefix matched.  Always walks the trie (no cache). *)
 
-val find_exact : 'a t -> Vini_net.Prefix.t -> 'a option
 val entries : 'a t -> (Vini_net.Prefix.t * 'a) list
 (** Sorted by (network, length). *)
 
@@ -62,5 +61,3 @@ val generation : 'a t -> int
     packets must compare generations before reusing it — a control
     packet routed mid-batch can update the table, and the memo must
     never outlive the cache it shadows. *)
-
-val pp : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit

@@ -118,4 +118,3 @@ let translate_in t (pkt : Packet.t) =
     | Packet.Icmp _ -> None
 
 let mappings t = Hashtbl.length t.out_map
-let public_addr t = t.public_addr

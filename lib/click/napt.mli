@@ -20,4 +20,3 @@ val translate_in : t -> Vini_net.Packet.t -> Vini_net.Packet.t option
     exists (the packet is not ours). *)
 
 val mappings : t -> int
-val public_addr : t -> Vini_net.Addr.t

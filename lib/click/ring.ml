@@ -100,7 +100,6 @@ let pop_into t batch ~max =
 
 let length t = t.len
 let capacity t = t.cap
-let is_empty t = t.len = 0
 let depth_hwm t = t.depth_hwm
 let pushes t = t.pushes
 let pops t = t.pops

@@ -35,7 +35,6 @@ val pop_into : t -> Batch.t -> max:int -> int
 
 val length : t -> int
 val capacity : t -> int
-val is_empty : t -> bool
 
 val depth_hwm : t -> int
 (** Deepest the ring has ever been — the backlog watermark a capacity

@@ -101,4 +101,3 @@ let set_rate t rate =
   | None -> ()
 
 let drops t = Vini_std.Fifo.drops t.queue
-let queued t = Vini_std.Fifo.length t.queue

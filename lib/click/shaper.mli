@@ -21,5 +21,3 @@ val element : t -> Element.t
 
 val set_rate : t -> float -> unit
 val drops : t -> int
-val queued : t -> int
-(** Packets currently waiting for tokens. *)

@@ -23,7 +23,6 @@ type t = {
   mutable sweeps : int;
   mutable moves : int;
   mutable gave_up : bool;
-  mutable stopped : bool;
 }
 
 (* Physical nodes above the stress threshold, hottest first (ties by
@@ -76,11 +75,11 @@ let try_move t p =
   inst_loop (Vini.instances t.net)
 
 let rec schedule t delay =
-  if not (t.stopped || t.gave_up) then
+  if not t.gave_up then
     ignore (Engine.after (Vini.engine t.net) delay (fun () -> sweep t))
 
 and sweep t =
-  if not (t.stopped || t.gave_up) then begin
+  if not t.gave_up then begin
     t.sweeps <- t.sweeps + 1;
     let sub = Vini.substrate t.net in
     if Substrate.max_node_stress sub <= t.threshold then begin
@@ -119,14 +118,11 @@ let attach ?(period = Time.sec 5) ?(threshold = 0.75) ?(budget = 3) net =
       sweeps = 0;
       moves = 0;
       gave_up = false;
-      stopped = false;
     }
   in
   schedule t period;
   t
 
-let stop t = t.stopped <- true
 let sweeps t = t.sweeps
 let moves_started t = t.moves
 let gave_up t = t.gave_up
-let active t = not (t.stopped || t.gave_up)

@@ -37,14 +37,8 @@ val attach :
     @raise Invalid_argument for [threshold] outside (0,1) or
     [budget] < 1. *)
 
-val stop : t -> unit
-(** Stop sweeping (idempotent; in-flight migrations settle normally). *)
-
 val sweeps : t -> int
 val moves_started : t -> int
 
 val gave_up : t -> bool
 (** The give-up budget was exhausted; no further sweeps will run. *)
-
-val active : t -> bool
-(** Still sweeping: neither stopped nor given up. *)

@@ -93,8 +93,8 @@ let make ~name ~slice ~vtopo ?embedding ?placement
     scenario;
   }
 
-let mirror ~name ~slice ~graph ?(events = []) () =
-  make ~name ~slice ~vtopo:graph ~events ()
+let mirror ~name ~slice ~graph () =
+  make ~name ~slice ~vtopo:graph ~events:[] ()
 
 let at seconds action = { at = Time.of_sec_f seconds; action }
 

@@ -110,7 +110,6 @@ val mirror :
   name:string ->
   slice:Vini_phys.Slice.t ->
   graph:Vini_topo.Graph.t ->
-  ?events:event list ->
   unit ->
   spec
 (** A virtual network that mirrors a physical topology one-to-one with

@@ -431,7 +431,6 @@ let parse text =
 
 let name p = p.p_name
 let slice p = p.p_slice
-let substrate p = p.p_substrate
 let workload p = p.p_workload
 let fidelity p = p.p_fidelity
 

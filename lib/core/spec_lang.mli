@@ -69,9 +69,6 @@ type substrate_decl =
       (** [topology generate ...]: regenerate from the seeded spec *)
   | Sub_load of string  (** [topology load PATH]: a vini.topo/1 file *)
 
-val substrate : parsed -> substrate_decl option
-(** The spec's substrate declaration, verbatim. *)
-
 val substrate_graph :
   parsed -> (Vini_topo.Graph.t option, string) result
 (** Resolve the declared substrate: generators are re-run (byte-identical

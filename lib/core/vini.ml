@@ -76,11 +76,9 @@ and t = {
   mutable next_tunnel_port : int;
 }
 
-let create ~engine ~graph ?profile ?mask_failures () =
+let create ~engine ~graph ?profile () =
   let rng = Vini_std.Rng.split (Engine.rng engine) in
-  let under =
-    Underlay.create ~engine ~rng ~graph ?profile ?mask_failures ()
-  in
+  let under = Underlay.create ~engine ~rng ~graph ?profile () in
   let t =
     {
       engine;
@@ -574,7 +572,6 @@ let start inst =
 
 let iias inst = inst.overlay
 let fluid inst = inst.fluid
-let spec inst = inst.ispec
 let instances t = t.deployed
 let on_upcall inst f = inst.upcall_hooks <- inst.upcall_hooks @ [ f ]
 let upcalls_delivered inst = inst.upcalls

@@ -42,7 +42,6 @@ val create :
   engine:Vini_sim.Engine.t ->
   graph:Vini_topo.Graph.t ->
   ?profile:(Vini_topo.Graph.node_id -> Vini_phys.Underlay.node_profile) ->
-  ?mask_failures:bool ->
   unit ->
   t
 (** After a machine death, an auto-placed experiment waits a 500 ms
@@ -95,7 +94,6 @@ val fluid : instance -> Vini_scenario.Fluid.t option
 (** The background fluid model, when the spec declared a scenario with
     non-packet fidelity and the instance has started. *)
 
-val spec : instance -> Experiment.spec
 val instances : t -> instance list
 
 val on_upcall : instance -> (Vini_phys.Underlay.event -> unit) -> unit

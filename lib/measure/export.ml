@@ -456,7 +456,7 @@ let embed_slice_json sub s =
             ("mean_stretch", Num (Embed.stretch sub m));
           ])
 
-let embed_document ?(migrations = []) ?(extra = []) ~substrate ~slices () =
+let embed_document ?(migrations = []) ~substrate ~slices () =
   let module Graph = Vini_topo.Graph in
   let sg = Substrate.graph substrate in
   let pn = Graph.node_count sg in
@@ -515,28 +515,27 @@ let embed_document ?(migrations = []) ?(extra = []) ~substrate ~slices () =
       migrations
   in
   Obj
-    ([
-       ("schema", Str embed_schema_version);
-       ( "substrate",
-         Obj
-           [
-             ("nodes", Num (float_of_int pn));
-             ("links", Num (float_of_int (Graph.link_count sg)));
-           ] );
-       ("slices", Arr (List.map (embed_slice_json substrate) slices));
-       ("pnode_stress", Arr pnode_stress);
-       ("plink_stress", Arr plink_stress);
-       ("residual_histogram", Arr histogram);
-       ( "acceptance",
-         Obj
-           [
-             ("admitted", Num (float_of_int (Substrate.admitted substrate)));
-             ("rejected", Num (float_of_int (Substrate.rejected substrate)));
-             ("rate", Num (Substrate.acceptance_rate substrate));
-           ] );
-       ("migrations", Arr migrations_json);
-     ]
-    @ extra)
+    [
+      ("schema", Str embed_schema_version);
+      ( "substrate",
+        Obj
+          [
+            ("nodes", Num (float_of_int pn));
+            ("links", Num (float_of_int (Graph.link_count sg)));
+          ] );
+      ("slices", Arr (List.map (embed_slice_json substrate) slices));
+      ("pnode_stress", Arr pnode_stress);
+      ("plink_stress", Arr plink_stress);
+      ("residual_histogram", Arr histogram);
+      ( "acceptance",
+        Obj
+          [
+            ("admitted", Num (float_of_int (Substrate.admitted substrate)));
+            ("rejected", Num (float_of_int (Substrate.rejected substrate)));
+            ("rate", Num (Substrate.acceptance_rate substrate));
+          ] );
+      ("migrations", Arr migrations_json);
+    ]
 
 (* ---- the vini.scenario/1 document --------------------------------------- *)
 

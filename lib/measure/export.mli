@@ -111,7 +111,6 @@ type embed_migration = {
 
 val embed_document :
   ?migrations:embed_migration list ->
-  ?extra:(string * json) list ->
   substrate:Vini_embed.Substrate.t ->
   slices:embed_slice list ->
   unit ->

@@ -14,7 +14,8 @@ type tcp_run = {
 }
 
 let tcp ~client ~server ?(streams = 20) ?(rwnd = Tcp.default_rwnd)
-    ?(port = 5001) ?(warmup = Time.sec 2) ~start ~duration () =
+    ?(warmup = Time.sec 2) ~start ~duration () =
+  let port = 5001 in
   let engine = Ipstack.engine client in
   let run =
     {
@@ -63,15 +64,14 @@ let tcp_timeouts run =
 
 type udp_run = { receiver : Udp_flow.receiver }
 
-let udp ~client ~server ~rate_bps ?payload_bytes ?(port = 5001) ~start
-    ~duration () =
-  let engine = Ipstack.engine client in
+let udp ~client ~server ~rate_bps ~start ~duration () =
+  let engine = Ipstack.engine client and port = 5001 in
   let receiver = Udp_flow.receiver ~stack:server ~port () in
   ignore
     (Engine.at engine start (fun () ->
          ignore
            (Udp_flow.sender ~stack:client ~dst:(Ipstack.local_addr server)
-              ~dst_port:port ~rate_bps ?payload_bytes ~duration ())));
+              ~dst_port:port ~rate_bps ~duration ())));
   { receiver }
 
 let udp_loss_pct run = (Udp_flow.receiver_stats run.receiver).Udp_flow.loss_pct

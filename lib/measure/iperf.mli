@@ -16,14 +16,13 @@ val tcp :
   server:Vini_phys.Ipstack.t ->
   ?streams:int ->
   ?rwnd:int ->
-  ?port:int ->
   ?warmup:Vini_sim.Time.t ->
   start:Vini_sim.Time.t ->
   duration:Vini_sim.Time.t ->
   unit ->
   tcp_run
-(** Defaults: 20 streams, iperf's 16 KB window, port 5001, 2 s warmup
-    before the measurement window opens. *)
+(** Defaults: 20 streams, iperf's 16 KB window, 2 s warmup before the
+    measurement window opens.  Both modes use iperf's port 5001. *)
 
 val tcp_mbps : tcp_run -> float
 (** Payload throughput over the measurement window, Mb/s. *)
@@ -36,8 +35,6 @@ val udp :
   client:Vini_phys.Ipstack.t ->
   server:Vini_phys.Ipstack.t ->
   rate_bps:float ->
-  ?payload_bytes:int ->
-  ?port:int ->
   start:Vini_sim.Time.t ->
   duration:Vini_sim.Time.t ->
   unit ->

@@ -94,71 +94,20 @@ let watch_vnode t vn ~prefix =
   counter t ~name:(prefix ^ ".breaths") (fun () ->
       float_of_int (Vini_phys.Process.breaths (Iias.process vn)))
 
-let watch_engine t ?(prefix = "engine") engine =
-  counter t ~name:(prefix ^ ".fired") (fun () ->
+let watch_engine t engine =
+  counter t ~name:"engine.fired" (fun () ->
       float_of_int (Engine.events_fired engine));
-  counter t ~name:(prefix ^ ".cancelled") (fun () ->
+  counter t ~name:"engine.cancelled" (fun () ->
       float_of_int (Engine.events_cancelled engine));
-  gauge t ~name:(prefix ^ ".pending") (fun () ->
+  gauge t ~name:"engine.pending" (fun () ->
       float_of_int (Engine.pending engine));
-  gauge t ~name:(prefix ^ ".max_pending") (fun () ->
+  gauge t ~name:"engine.max_pending" (fun () ->
       float_of_int (Engine.max_pending engine));
-  histogram t ~name:(prefix ^ ".horizon_s") (Engine.horizon_hist engine);
-  histogram t ~name:(prefix ^ ".callback_s") (Engine.callback_hist engine)
+  histogram t ~name:"engine.horizon_s" (Engine.horizon_hist engine);
+  histogram t ~name:"engine.callback_s" (Engine.callback_hist engine)
 
 let watch_cpu t ~prefix cpu =
   histogram t ~name:(prefix ^ ".wake_s") (Vini_phys.Cpu.wake_latency_hist cpu)
-
-let watch_pool t ~prefix pool =
-  let open Vini_net in
-  gauge t ~name:(prefix ^ ".available") (fun () ->
-      float_of_int (Pool.available pool));
-  gauge t ~name:(prefix ^ ".low_watermark") (fun () ->
-      float_of_int (Pool.low_watermark pool));
-  counter t ~name:(prefix ^ ".takes") (fun () ->
-      float_of_int (Pool.takes pool));
-  counter t ~name:(prefix ^ ".recycles") (fun () ->
-      float_of_int (Pool.recycles pool));
-  counter t ~name:(prefix ^ ".exhaustions") (fun () ->
-      float_of_int (Pool.exhaustions pool));
-  counter t ~name:(prefix ^ ".overfills") (fun () ->
-      float_of_int (Pool.overfills pool))
-
-let watch_ring t ~prefix ring =
-  let open Vini_click in
-  gauge t ~name:(prefix ^ ".length") (fun () ->
-      float_of_int (Ring.length ring));
-  gauge t ~name:(prefix ^ ".depth_hwm") (fun () ->
-      float_of_int (Ring.depth_hwm ring));
-  counter t ~name:(prefix ^ ".pushes") (fun () ->
-      float_of_int (Ring.pushes ring));
-  counter t ~name:(prefix ^ ".pops") (fun () -> float_of_int (Ring.pops ring));
-  counter t ~name:(prefix ^ ".rejected") (fun () ->
-      float_of_int (Ring.rejected ring))
-
-let watch_process t ~prefix p =
-  let open Vini_phys in
-  counter t ~name:(prefix ^ ".packets") (fun () ->
-      float_of_int (Process.packets_processed p));
-  counter t ~name:(prefix ^ ".breaths") (fun () ->
-      float_of_int (Process.breaths p));
-  counter t ~name:(prefix ^ ".wakeups") (fun () ->
-      float_of_int (Process.wakeups p));
-  counter t ~name:(prefix ^ ".cpu_s") (fun () ->
-      Time.to_sec_f (Process.cpu_time p));
-  gauge t ~name:(prefix ^ ".breath_utilization") (fun () ->
-      let b = Process.breaths p and burst = Process.burst p in
-      if b = 0 then 0.0
-      else
-        float_of_int (Process.packets_processed p)
-        /. float_of_int (b * burst))
-
-let watch_profile t ?(prefix = "profile") p =
-  let open Vini_sim in
-  counter t ~name:(prefix ^ ".element_packets") (fun () ->
-      float_of_int (Profile.element_packets_total p));
-  counter t ~name:(prefix ^ ".element_cost_s") (fun () ->
-      Profile.attributed_cost_s p)
 
 let watch_tcp t ~prefix conn =
   counter t ~name:(prefix ^ ".retransmits") (fun () ->

@@ -53,31 +53,13 @@ val watch_vnode : t -> Vini_overlay.Iias.vnode -> prefix:string -> unit
     [<prefix>.fib_memo_hits/_lookups] and [<prefix>.breaths] for an IIAS
     virtual node (all counters). *)
 
-val watch_engine : t -> ?prefix:string -> Vini_sim.Engine.t -> unit
-(** [<prefix>.fired], [.cancelled], [.pending], [.max_pending] series and
-    the [.horizon_s] / [.callback_s] histograms (prefix default
-    ["engine"]; enable {!Vini_sim.Engine.set_profiling} to populate the
-    histograms). *)
+val watch_engine : t -> Vini_sim.Engine.t -> unit
+(** [engine.fired], [.cancelled], [.pending], [.max_pending] series and
+    the [.horizon_s] / [.callback_s] histograms (enable
+    {!Vini_sim.Engine.set_profiling} to populate the histograms). *)
 
 val watch_cpu : t -> prefix:string -> Vini_phys.Cpu.t -> unit
 (** [<prefix>.wake_s]: the node scheduler's wake-latency histogram. *)
-
-val watch_pool : t -> prefix:string -> Vini_net.Pool.t -> unit
-(** [<prefix>.available] / [.low_watermark] gauges and [.takes],
-    [.recycles], [.exhaustions], [.overfills] counters of a packet
-    freelist. *)
-
-val watch_ring : t -> prefix:string -> Vini_click.Ring.t -> unit
-(** [<prefix>.length] / [.depth_hwm] gauges and [.pushes], [.pops],
-    [.rejected] counters of an SPSC packet ring. *)
-
-val watch_process : t -> prefix:string -> Vini_phys.Process.t -> unit
-(** [<prefix>.packets], [.breaths], [.wakeups], [.cpu_s] counters plus
-    the [.breath_utilization] gauge (packets per breath over [burst]). *)
-
-val watch_profile : t -> ?prefix:string -> Vini_sim.Profile.t -> unit
-(** The runtime profiler's element attribution (prefix default
-    ["profile"]): [.element_packets] and [.element_cost_s] counters. *)
 
 val watch_tcp : t -> prefix:string -> Vini_transport.Tcp.t -> unit
 (** [<prefix>.retransmits], [.bytes_acked] counters and the

@@ -6,6 +6,7 @@ module Ipstack = Vini_phys.Ipstack
 type mode = Flood | Interval of Time.t
 
 let flood_floor = Time.ms 10
+let payload_bytes = 56
 let next_ident = ref 0x4000
 
 type t = {
@@ -14,7 +15,6 @@ type t = {
   dst : Vini_net.Addr.t;
   count : int;
   mode : mode;
-  payload_bytes : int;
   reply_timeout : Time.t;
   ident : int;
   mutable sent : int;
@@ -50,7 +50,7 @@ let rec send_next t =
           Packet.ident = t.ident;
           icmp_seq = seq;
           sent_ns = Engine.now t.engine;
-          data_len = t.payload_bytes;
+          data_len = payload_bytes;
         }
     in
     Ipstack.send t.stack
@@ -101,8 +101,7 @@ let on_reply t (e : Packet.echo) =
         ()
   end
 
-let start ~stack ~dst ~count ?(mode = Flood) ?(payload_bytes = 56)
-    ?(reply_timeout = Time.sec 1) () =
+let start ~stack ~dst ~count ?(mode = Flood) ?(reply_timeout = Time.sec 1) () =
   incr next_ident;
   let t =
     {
@@ -111,7 +110,6 @@ let start ~stack ~dst ~count ?(mode = Flood) ?(payload_bytes = 56)
       dst;
       count;
       mode;
-      payload_bytes;
       reply_timeout;
       ident = !next_ident;
       sent = 0;

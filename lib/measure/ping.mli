@@ -15,7 +15,6 @@ val start :
   dst:Vini_net.Addr.t ->
   count:int ->
   ?mode:mode ->
-  ?payload_bytes:int ->
   ?reply_timeout:Vini_sim.Time.t ->
   unit ->
   t

@@ -28,10 +28,6 @@ let table ~title ~header ~rows =
   print_endline (String.make (String.length (line header)) '-');
   List.iter (fun row -> print_endline (line row)) rows
 
-let points ~title pts =
-  Printf.printf "\n-- %s --\n" title;
-  List.iter (fun (x, y) -> Printf.printf "  %10.4f  %12.4f\n" x y) pts
-
 let series ~title ?(x_label = "x") ?(y_label = "y") pts =
   Printf.printf "\n== %s ==\n" title;
   match pts with

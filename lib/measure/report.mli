@@ -13,8 +13,5 @@ val series :
   unit
 (** Print a series as an ASCII scatter/line plot plus the raw points. *)
 
-val points : title:string -> (float * float) list -> unit
-(** Just the raw (x, y) pairs, one per line. *)
-
 val fmt_f : float -> string
 (** Compact float: 3 significant-ish decimals. *)

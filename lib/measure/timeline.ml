@@ -67,7 +67,6 @@ let create ~engine ?(interval = Time.sec 1) () =
   t
 
 let stop t = t.running <- false
-let interval t = t.interval
 
 let register t ~name read =
   if t.is_frozen then
@@ -76,27 +75,25 @@ let register t ~name read =
     invalid_arg ("Timeline.register: duplicate series " ^ name);
   t.sources_rev <- { s_name = name; s_read = read } :: t.sources_rev
 
-let gauge = register
-
 (* ---- prewired sources (deterministic quantities only; host-clock data
    like callback times must stay out — see DESIGN.md §16) -------------- *)
 
-let watch_engine t ?(prefix = "engine") engine =
-  register t ~name:(prefix ^ ".fired") (fun () ->
+let watch_engine t engine =
+  register t ~name:"engine.fired" (fun () ->
       float_of_int (Engine.events_fired engine));
-  register t ~name:(prefix ^ ".inlined") (fun () ->
+  register t ~name:"engine.inlined" (fun () ->
       float_of_int (Engine.events_inlined engine));
-  register t ~name:(prefix ^ ".cancelled") (fun () ->
+  register t ~name:"engine.cancelled" (fun () ->
       float_of_int (Engine.events_cancelled engine));
-  register t ~name:(prefix ^ ".pending") (fun () ->
+  register t ~name:"engine.pending" (fun () ->
       float_of_int (Engine.pending engine));
-  register t ~name:(prefix ^ ".max_pending") (fun () ->
+  register t ~name:"engine.max_pending" (fun () ->
       float_of_int (Engine.max_pending engine))
 
-let watch_profile t ?(prefix = "profile") p =
-  register t ~name:(prefix ^ ".element_packets") (fun () ->
+let watch_profile t p =
+  register t ~name:"profile.element_packets" (fun () ->
       float_of_int (Profile.element_packets_total p));
-  register t ~name:(prefix ^ ".element_cost_s") (fun () ->
+  register t ~name:"profile.element_cost_s" (fun () ->
       Profile.attributed_cost_s p)
 
 let watch_pool t ~prefix pool =
@@ -135,7 +132,7 @@ let watch_process t ~prefix p =
   register t ~name:(prefix ^ ".cpu_s") (fun () ->
       Time.to_sec_f (Process.cpu_time p))
 
-let watch_overlay t ?(prefix = "overlay") iias =
+let watch_overlay t iias =
   let open Vini_overlay in
   let sum f =
     let acc = ref 0 in
@@ -144,24 +141,20 @@ let watch_overlay t ?(prefix = "overlay") iias =
     done;
     float_of_int !acc
   in
-  register t ~name:(prefix ^ ".forwarded") (fun () ->
+  register t ~name:"overlay.forwarded" (fun () ->
       sum (fun vn -> (Iias.stats vn).Iias.forwarded));
-  register t ~name:(prefix ^ ".delivered") (fun () ->
+  register t ~name:"overlay.delivered" (fun () ->
       sum (fun vn -> (Iias.stats vn).Iias.delivered));
-  register t ~name:(prefix ^ ".no_route") (fun () ->
+  register t ~name:"overlay.no_route" (fun () ->
       sum (fun vn -> (Iias.stats vn).Iias.no_route));
-  register t ~name:(prefix ^ ".fib_memo_hits") (fun () ->
+  register t ~name:"overlay.fib_memo_hits" (fun () ->
       sum (fun vn -> fst (Iias.fib_memo_stats vn)));
-  register t ~name:(prefix ^ ".fib_memo_lookups") (fun () ->
+  register t ~name:"overlay.fib_memo_lookups" (fun () ->
       sum (fun vn -> snd (Iias.fib_memo_stats vn)));
-  register t ~name:(prefix ^ ".breaths") (fun () ->
+  register t ~name:"overlay.breaths" (fun () ->
       sum (fun vn -> Vini_phys.Process.breaths (Iias.process vn)))
 
 (* ---- read side --------------------------------------------------------- *)
-
-let names t =
-  freeze t;
-  Array.to_list (Array.map (fun s -> s.s_name) t.frozen)
 
 let nsamples t = t.nsamples
 

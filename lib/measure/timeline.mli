@@ -44,29 +44,22 @@ val register : t -> name:string -> (unit -> float) -> unit
 (** Add a series.  The source set freezes at the first snapshot.
     @raise Invalid_argument on duplicate names or after freezing. *)
 
-val gauge : t -> name:string -> (unit -> float) -> unit
-(** Alias of {!register} (the timeline does not distinguish gauges from
-    counters; [vini top] derives rates from consecutive samples). *)
-
 val sample_now : t -> unit
 (** Take one snapshot immediately (freezes the source set).  Used by
     tests and by exporters that want a final row at shutdown. *)
 
 val stop : t -> unit
 
-val interval : t -> Vini_sim.Time.t
-
 (** {2 Prewired sources}
 
     All deterministic; see the determinism note above. *)
 
-val watch_engine : t -> ?prefix:string -> Vini_sim.Engine.t -> unit
-(** [<prefix>.fired], [.inlined], [.cancelled], [.pending],
-    [.max_pending] (prefix default ["engine"]). *)
+val watch_engine : t -> Vini_sim.Engine.t -> unit
+(** [engine.fired], [.inlined], [.cancelled], [.pending],
+    [.max_pending]. *)
 
-val watch_profile : t -> ?prefix:string -> Vini_sim.Profile.t -> unit
-(** [<prefix>.element_packets], [.element_cost_s] (prefix default
-    ["profile"]). *)
+val watch_profile : t -> Vini_sim.Profile.t -> unit
+(** [profile.element_packets], [.element_cost_s]. *)
 
 val watch_pool : t -> prefix:string -> Vini_net.Pool.t -> unit
 (** [<prefix>.available], [.low_watermark], [.takes], [.exhaustions]. *)
@@ -77,15 +70,12 @@ val watch_ring : t -> prefix:string -> Vini_click.Ring.t -> unit
 val watch_process : t -> prefix:string -> Vini_phys.Process.t -> unit
 (** [<prefix>.packets], [.breaths], [.breath_utilization], [.cpu_s]. *)
 
-val watch_overlay : t -> ?prefix:string -> Vini_overlay.Iias.t -> unit
-(** Whole-overlay aggregates (prefix default ["overlay"]):
-    [<prefix>.forwarded], [.delivered], [.no_route], [.fib_memo_hits],
+val watch_overlay : t -> Vini_overlay.Iias.t -> unit
+(** Whole-overlay aggregates: [overlay.forwarded], [.delivered],
+    [.no_route], [.fib_memo_hits],
     [.fib_memo_lookups], [.breaths] summed over all vnodes. *)
 
 (** {2 Read side} *)
-
-val names : t -> string list
-(** Series names in [series] order (freezes the source set). *)
 
 val nsamples : t -> int
 

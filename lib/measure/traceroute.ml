@@ -100,4 +100,3 @@ let start ~stack ~dst () =
 
 let hops t = List.rev t.hops_rev
 let reached t = t.reached
-let finished t = t.finished

@@ -24,4 +24,3 @@ val start :
 
 val hops : t -> hop list
 val reached : t -> bool
-val finished : t -> bool

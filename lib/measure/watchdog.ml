@@ -11,7 +11,6 @@ type t = {
   engine : Engine.t;
   overlay : Iias.t;
   vtopo : Graph.t;
-  period : Time.t;
   grace : Time.t;
   migration_aware : bool;
   mutable running : bool;
@@ -24,16 +23,14 @@ type t = {
 }
 
 let max_probe_ttl = 32
+let period = Time.sec 1
 
-let create ~engine ~overlay ~vtopo ?(period = Time.sec 1)
-    ?(grace = Time.sec 15) ?(migration_aware = true) () =
-  if Time.compare period Time.zero <= 0 then
-    invalid_arg "Watchdog.create: period must be positive";
+let create ~engine ~overlay ~vtopo ?(grace = Time.sec 15)
+    ?(migration_aware = true) () =
   {
     engine;
     overlay;
     vtopo;
-    period;
     grace;
     migration_aware;
     running = false;
@@ -178,7 +175,7 @@ let start t =
   if t.stopped then invalid_arg "Watchdog.start: already stopped";
   if not t.running then begin
     t.running <- true;
-    Engine.every t.engine t.period (fun () ->
+    Engine.every t.engine period (fun () ->
         if t.running then sweep t;
         t.running)
   end

@@ -29,7 +29,6 @@ val create :
   engine:Vini_sim.Engine.t ->
   overlay:Vini_overlay.Iias.t ->
   vtopo:Vini_topo.Graph.t ->
-  ?period:Vini_sim.Time.t ->
   ?grace:Vini_sim.Time.t ->
   ?migration_aware:bool ->
   unit ->
@@ -44,8 +43,7 @@ val create :
     checks on it skip, probes crossing it are inconclusive rather than
     loops/blackholes, and its pending unreachability clocks are purged.
     Pass [false] to observe the pre-suppression behaviour (the watchdog
-    then alarms on planned cutovers — regression-tested).
-    @raise Invalid_argument on a non-positive period. *)
+    then alarms on planned cutovers — regression-tested). *)
 
 val start : t -> unit
 (** Begin sweeping (first sweep one period from now).  Idempotent.

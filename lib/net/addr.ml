@@ -41,7 +41,6 @@ let to_string t =
 
 let compare = Int.compare
 let equal = Int.equal
-let hash t = Hashtbl.hash t
 let succ t = if t = max_addr then 0 else t + 1
 let add t n = (t + n) land max_addr
 let any = 0

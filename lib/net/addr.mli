@@ -19,7 +19,6 @@ val to_string : t -> string
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 
 val succ : t -> t (* Next address, wrapping at 255.255.255.255. *)
 

@@ -89,9 +89,9 @@ let udp ?(ttl = default_ttl) ?orig ~src ~dst ~sport ~dport body =
   { id; orig = provenance id orig; src; dst; ttl; corrupt = false; proto;
     len = Wire.ipv4_header + proto_size proto }
 
-let tcp ?(ttl = default_ttl) ?orig ~src ~dst seg =
+let tcp ~src ~dst seg =
   let id = fresh_id () in
-  { id; orig = provenance id orig; src; dst; ttl; corrupt = false;
+  { id; orig = id; src; dst; ttl = default_ttl; corrupt = false;
     proto = Tcp seg; len = Wire.ipv4_header + proto_size (Tcp seg) }
 
 let icmp ?(ttl = default_ttl) ?orig ~src ~dst msg =

@@ -78,11 +78,13 @@ and t = private {
 val udp :
   ?ttl:int -> ?orig:int -> src:Addr.t -> dst:Addr.t -> sport:int ->
   dport:int -> body -> t
-val tcp : ?ttl:int -> ?orig:int -> src:Addr.t -> dst:Addr.t -> tcp -> t
+val tcp : src:Addr.t -> dst:Addr.t -> tcp -> t
 val icmp : ?ttl:int -> ?orig:int -> src:Addr.t -> dst:Addr.t -> icmp -> t
-(** [?ttl] defaults to 64.  [?orig] overrides the provenance id (default:
-    the fresh packet's own id).  Pass [inner.orig] at encapsulation sites
-    and the offending packet's [orig] when generating ICMP errors. *)
+(** A TCP segment leaves with TTL 64 as its own provenance root.  For
+    [udp] and [icmp], [?ttl] defaults to 64 and [?orig] overrides the
+    provenance id (default: the fresh packet's own id).  Pass
+    [inner.orig] at encapsulation sites and the offending packet's [orig]
+    when generating ICMP errors. *)
 
 val size : t -> int
 (** Total IP datagram size in bytes (header + nested contents).  O(1):
@@ -119,6 +121,5 @@ val with_udp_ports : t -> sport:int -> dport:int -> t
 val with_tcp_ports : t -> sport:int -> dport:int -> t
 (** @raise Invalid_argument on a non-TCP packet. Used by NAPT. *)
 
-val pp : Format.formatter -> t -> unit
 val describe : t -> string
 (** One-line human-readable summary (tcpdump-ish). *)

@@ -9,7 +9,6 @@ type t = {
   mutable free : int;
   mutable low_watermark : int; (* fewest free slots ever seen *)
   mutable takes : int;
-  mutable recycles : int;
   mutable exhaustions : int;
   mutable overfills : int;
 }
@@ -23,7 +22,6 @@ let create ~capacity ~mint () =
     free = capacity;
     low_watermark = capacity;
     takes = 0;
-    recycles = 0;
     exhaustions = 0;
     overfills = 0;
   }
@@ -58,14 +56,12 @@ let recycle t pkt =
   if t.free = Array.length t.slots then t.overfills <- t.overfills + 1
   else begin
     Array.unsafe_set t.slots t.free pkt;
-    t.free <- t.free + 1;
-    t.recycles <- t.recycles + 1
+    t.free <- t.free + 1
   end
 
 let available t = t.free
 let low_watermark t = t.low_watermark
 let capacity t = Array.length t.slots
 let takes t = t.takes
-let recycles t = t.recycles
 let exhaustions t = t.exhaustions
 let overfills t = t.overfills

@@ -64,7 +64,6 @@ val low_watermark : t -> int
 
 val capacity : t -> int
 val takes : t -> int
-val recycles : t -> int
 
 val exhaustions : t -> int
 (** Failed {!take}/{!take_opt} calls: how often a burst found the pool

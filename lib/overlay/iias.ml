@@ -1005,8 +1005,6 @@ let tap_addr vn = vn.vtap_addr
 let process vn = vn.proc
 let rib vn = vn.vrib
 let ospf vn = vn.vospf
-let rip vn = vn.vrip
-let pnode vn = vn.node
 
 let fib_entries vn =
   List.map (fun (p, a) -> (p, action_name a)) (Fib.entries vn.fib)

@@ -202,9 +202,7 @@ val route_batch : vnode -> Vini_click.Batch.t -> unit
 val process : vnode -> Vini_phys.Process.t
 val rib : vnode -> Vini_routing.Rib.t
 val ospf : vnode -> Vini_routing.Ospf.t option
-val rip : vnode -> Vini_routing.Rip.t option
 val fib_entries : vnode -> (Vini_net.Prefix.t * string) list
-val pnode : vnode -> Vini_phys.Pnode.t
 
 (** {2 Experiment control} *)
 

@@ -166,4 +166,3 @@ let wake_latency_hist t = t.wake_hist
 let last_service p = p.last_start
 let cpu_time p = p.cpu_time
 let wakeups p = p.wakeups
-let proc_name p = p.name

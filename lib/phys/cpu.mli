@@ -75,4 +75,3 @@ val last_service : proc -> Vini_sim.Time.t
     vs cpu_service for the flight recorder ({!Vini_sim.Span}). *)
 
 val wakeups : proc -> int
-val proc_name : proc -> string

@@ -207,4 +207,3 @@ let enqueue t c pkt =
 
 let class_drops c = Vini_std.Fifo.drops c.queue
 let class_sent_bytes c = c.sent_bytes
-let backlog c = Vini_std.Fifo.length c.queue

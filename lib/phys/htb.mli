@@ -43,5 +43,3 @@ val enqueue : t -> cls -> Vini_net.Packet.t -> bool
 
 val class_drops : cls -> int
 val class_sent_bytes : cls -> int
-val backlog : cls -> int
-(** Packets waiting in the class queue. *)

@@ -5,7 +5,7 @@ type t = {
   engine : Vini_sim.Engine.t;
   local_addr : Vini_net.Addr.t;
   span_comp : string; (* flight-recorder component, precomputed *)
-  mutable tx : Packet.t -> unit;
+  tx : Packet.t -> unit;
   udp : (int, Packet.t -> unit) Hashtbl.t;
   tcp : (int, Packet.t -> unit) Hashtbl.t;
   (* One-entry demux memo per protocol: a stack usually serves one hot
@@ -40,7 +40,6 @@ let create ~engine ~local_addr ~tx () =
 
 let engine t = t.engine
 let local_addr t = t.local_addr
-let set_tx t tx = t.tx <- tx
 
 (* Every datagram the stack sources passes through here: the natural place
    to open its flight-recorder tree.  A packet re-originating an inherited

@@ -18,7 +18,6 @@ val create :
 
 val engine : t -> Vini_sim.Engine.t
 val local_addr : t -> Vini_net.Addr.t
-val set_tx : t -> (Vini_net.Packet.t -> unit) -> unit
 
 val send : t -> Vini_net.Packet.t -> unit
 (** Hand a packet to the interface for transmission. *)

@@ -182,4 +182,3 @@ let stats t ~dir =
   }
 
 let bandwidth_bps t = t.bandwidth_bps
-let delay t = t.delay

@@ -53,4 +53,3 @@ val set_background : t -> dir:int -> delay:Vini_sim.Time.t -> loss:float -> unit
 
 val stats : t -> dir:int -> stats
 val bandwidth_bps : t -> float
-val delay : t -> Vini_sim.Time.t

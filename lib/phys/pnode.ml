@@ -21,7 +21,6 @@ type t = {
   mutable egress_htb : Htb.t option;
   mutable up : bool;
   mutable kills : (unit -> unit) list;
-  mutable down_drops : int;
 }
 
 module Socket = struct
@@ -32,7 +31,6 @@ module Socket = struct
     handler : Packet.t -> unit;
   }
 
-  let port s = s.sock_port
   let buffer s = s.buf
   let close s = Ipstack.unbind_udp s.node.stack ~port:s.sock_port
 
@@ -66,7 +64,6 @@ let create ~engine ~rng ~id ~name ~addr ~cpu () =
         egress_htb = None;
         up = true;
         kills = [];
-        down_drops = 0;
       }
   in
   Lazy.force node
@@ -79,7 +76,6 @@ let engine t = t.engine
 let stack t = t.stack
 let set_tx t tx = t.tx <- tx
 let is_up t = t.up
-let down_drops t = t.down_drops
 
 let attach_process t ~kill = t.kills <- kill :: t.kills
 
@@ -106,7 +102,6 @@ let reboot t =
   end
 
 let drop_down t pkt =
-  t.down_drops <- t.down_drops + 1;
   let module Trace = Vini_sim.Trace in
   if Trace.on Trace.Category.Packet_drop then
     Trace.emit ~severity:Trace.Debug ~component:t.name
@@ -139,10 +134,10 @@ let enable_egress_htb t ~rate_bps =
   let htb = Htb.create ~engine:t.engine ~rate_bps ~out:(fun pkt -> t.tx pkt) () in
   t.egress_htb <- Some htb
 
-let set_egress_class t ~name ?assured_bps ?ceil_bps () =
+let set_egress_class t ~name ?assured_bps () =
   match t.egress_htb with
   | None -> invalid_arg "Pnode.set_egress_class: no egress HTB enabled"
-  | Some htb -> ignore (Htb.add_class htb ~name ?assured_bps ?ceil_bps ())
+  | Some htb -> ignore (Htb.add_class htb ~name ?assured_bps ())
 
 let egress_class_stats t ~name =
   match t.egress_htb with

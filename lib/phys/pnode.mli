@@ -13,8 +13,6 @@ type t
 module Socket : sig
   type s
 
-  val port : s -> int
-
   val buffer : s -> Vini_net.Packet.t Vini_std.Fifo.t
   (** The receive buffer itself, which the owning process drains
       directly. *)
@@ -68,9 +66,6 @@ val reboot : t -> unit
 val attach_process : t -> kill:(unit -> unit) -> unit
 (** Register a process kill hook to run when this node crashes. *)
 
-val down_drops : t -> int
-(** Packets dropped because the node was down. *)
-
 val send : t -> Vini_net.Packet.t -> unit
 (** Transmit a packet originated on this node (host app or process). *)
 
@@ -83,7 +78,7 @@ val enable_egress_htb : t -> rate_bps:float -> unit
     originated packets pass through it before entering the network. *)
 
 val set_egress_class :
-  t -> name:string -> ?assured_bps:float -> ?ceil_bps:float -> unit -> unit
+  t -> name:string -> ?assured_bps:float -> unit -> unit
 (** Declare a class (a slice) with a minimum-rate guarantee.
     @raise Invalid_argument without {!enable_egress_htb} or on duplicates. *)
 

@@ -6,7 +6,6 @@ module Fifo = Vini_std.Fifo
 
 type t = {
   pnode : Pnode.t;
-  proc_slice : Slice.t;
   proc_name : string;
   (* Every input buffer, served round-robin in opening order: each
      socket's receive buffer ({!Pnode.Socket.buffer}) and each local
@@ -114,7 +113,6 @@ let create ~node ~slice ~name ?(cost_of = default_cost) ?(burst = 1) ~handler
   let t =
     {
       pnode = node;
-      proc_slice = slice;
       proc_name = name;
       sources = [||];
       sockets = [];
@@ -299,8 +297,10 @@ let open_socket t ~port ?rcvbuf_bytes () =
   t.sockets <- t.sockets @ [ sock ];
   sock
 
-let open_queue t ?(capacity_bytes = Calibration.udp_rcvbuf_bytes) () =
-  let q = Fifo.create ~max_bytes:capacity_bytes ~size_of:Packet.size () in
+let open_queue t () =
+  let q =
+    Fifo.create ~max_bytes:Calibration.udp_rcvbuf_bytes ~size_of:Packet.size ()
+  in
   add_source t q;
   let module Trace = Vini_sim.Trace in
   fun pkt ->
@@ -338,7 +338,6 @@ let open_queue t ?(capacity_bytes = Calibration.udp_rcvbuf_bytes) () =
 
 let set_handler t h = t.handler <- h
 let node t = t.pnode
-let slice t = t.proc_slice
 let name t = t.proc_name
 
 let cpu_time t =

@@ -38,10 +38,10 @@ val create :
 val open_socket : t -> port:int -> ?rcvbuf_bytes:int -> unit -> Pnode.Socket.s
 (** A socket whose arrivals wake this process. *)
 
-val open_queue :
-  t -> ?capacity_bytes:int -> unit -> (Vini_net.Packet.t -> bool)
+val open_queue : t -> unit -> (Vini_net.Packet.t -> bool)
 (** A local bounded input queue served by the process alongside its
-    sockets; the returned injector enqueues a packet and wakes the process
+    sockets, bounded like a default socket buffer
+    ({!Calibration.udp_rcvbuf_bytes}); the returned injector enqueues a packet and wakes the process
     ([false] = queue full, packet dropped).  Models the tap device and the
     UML switch feeding Click from the same node. *)
 
@@ -85,7 +85,6 @@ val crashes : t -> int
 val restarts : t -> int
 
 val node : t -> Pnode.t
-val slice : t -> Slice.t
 val name : t -> string
 val cpu_time : t -> Vini_sim.Time.t
 val wakeups : t -> int
@@ -101,6 +100,3 @@ val burst : t -> int
 
 val socket_drops : t -> int
 (** Total receive-buffer drops across this process's sockets. *)
-
-val kick : t -> unit
-(** Wake the process explicitly (after out-of-band work injection). *)

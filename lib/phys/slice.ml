@@ -11,7 +11,3 @@ let create ?(reservation = 0.0) ?(realtime = false) name =
 
 let default_share name = create name
 let pl_vini name = create ~reservation:Calibration.default_reservation ~realtime:true name
-
-let pp ppf t =
-  Format.fprintf ppf "%s (reservation %.0f%%%s)" t.name (100.0 *. t.reservation)
-    (if t.realtime then ", rt" else "")

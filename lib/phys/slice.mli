@@ -20,5 +20,3 @@ val default_share : string -> t
 val pl_vini : string -> t
 (** The PL-VINI treatment of §5.1.2: 25% reservation plus real-time
     priority. *)
-
-val pp : Format.formatter -> t -> unit

@@ -23,7 +23,6 @@ let default_policy =
 type child = {
   mutable child_name : string;
   mutable proc : Process.t;
-  child_policy : policy;
   on_restart : unit -> unit;
   mutable crash_times : float list;  (* newest first, within the window *)
   mutable consecutive : int;         (* crashes since last stable period *)
@@ -51,7 +50,7 @@ let lifecycle c phase detail =
       (Trace.Process_lifecycle { phase; detail })
 
 let backoff_s t c =
-  let p = c.child_policy in
+  let p = t.policy in
   let raw = p.base_backoff *. (2.0 ** float_of_int (max 0 (c.consecutive - 1))) in
   let capped = Float.min p.max_backoff raw in
   let u = Rng.float (Lazy.force t.rng) 1.0 in
@@ -77,20 +76,20 @@ let rec attempt t c ~delay_s =
 let on_child_crash t c =
   if not c.given_up then begin
     let now = Time.to_sec_f (Engine.now t.engine) in
-    let horizon = now -. c.child_policy.intensity_window in
+    let horizon = now -. t.policy.intensity_window in
     c.crash_times <- now :: List.filter (fun ts -> ts >= horizon) c.crash_times;
     (* A quiet spell resets the backoff ladder. *)
     (match c.crash_times with
-    | _ :: prev :: _ when now -. prev > c.child_policy.intensity_window ->
+    | _ :: prev :: _ when now -. prev > t.policy.intensity_window ->
         c.consecutive <- 1
     | [ _ ] -> c.consecutive <- 1
     | _ -> c.consecutive <- c.consecutive + 1);
-    if List.length c.crash_times > c.child_policy.max_restarts then begin
+    if List.length c.crash_times > t.policy.max_restarts then begin
       c.given_up <- true;
       lifecycle c "give-up"
         (Printf.sprintf "%d crashes in %.0fs"
            (List.length c.crash_times)
-           c.child_policy.intensity_window)
+           t.policy.intensity_window)
     end
     else if not c.pending then begin
       c.pending <- true;
@@ -98,12 +97,11 @@ let on_child_crash t c =
     end
   end
 
-let supervise t ?policy ~name ?(on_restart = fun () -> ()) proc =
+let supervise t ~name ?(on_restart = fun () -> ()) proc =
   let c =
     {
       child_name = name;
       proc;
-      child_policy = Option.value policy ~default:t.policy;
       on_restart;
       crash_times = [];
       consecutive = 0;

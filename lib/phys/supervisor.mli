@@ -40,13 +40,12 @@ val create :
 
 val supervise :
   t ->
-  ?policy:policy ->
   name:string ->
   ?on_restart:(unit -> unit) ->
   Process.t ->
   unit
-(** Watch a process (hooks {!Process.on_crash}).  [policy] overrides the
-    supervisor default for this child. *)
+(** Watch a process (hooks {!Process.on_crash}) under the supervisor's
+    policy. *)
 
 val adopt : t -> name:string -> Process.t -> unit
 (** Re-point the child registered under [name] at a replacement process

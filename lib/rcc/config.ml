@@ -210,11 +210,3 @@ let parse_many text =
           | Error e -> Error e)
   in
   go [] chunks
-
-let pp ppf (cfg : router_cfg) =
-  Format.fprintf ppf "router %s (ospf %b)@." cfg.hostname cfg.ospf;
-  List.iter
-    (fun i ->
-      Format.fprintf ppf "  %s -> %s bw %d kb/s delay %d us cost %d@."
-        i.ifname i.peer i.bandwidth_kbps i.delay_us i.ospf_cost)
-    cfg.ifaces

@@ -41,5 +41,3 @@ val parse : string -> (router_cfg, string) result
 
 val parse_many : string -> (router_cfg list, string) result
 (** Parse a file with several routers separated by [hostname] lines. *)
-
-val pp : Format.formatter -> router_cfg -> unit

@@ -139,8 +139,8 @@ type fig9 = {
   stall_end : float;
 }
 
-let fig9_run ?(seed = 9101) ?(fail_at = 10.0) ?(restore_at = 34.0)
-    ?(rwnd = 32 * 1024) () =
+let fig9_run ?(seed = 9101) ?(fail_at = 10.0) ?(restore_at = 34.0) () =
+  let rwnd = 32 * 1024 in
   let events =
     [
       Experiment.at (warmup_s +. fail_at)

@@ -37,7 +37,7 @@ type fig9 = {
 }
 
 val fig9_run :
-  ?seed:int -> ?fail_at:float -> ?restore_at:float -> ?rwnd:int -> unit -> fig9
+  ?seed:int -> ?fail_at:float -> ?restore_at:float -> unit -> fig9
 
 val upcall_demo : ?seed:int -> unit -> int * int
 (** Fail and restore a {e physical} Abilene link with two experiments

@@ -34,7 +34,8 @@ let endpoints iias =
   ( Iias.tap (Iias.vnode iias Datasets.Planetlab3.chicago),
     Iias.tap (Iias.vnode iias Datasets.Planetlab3.washington) )
 
-let scheduler_knobs ?(duration_s = 5) ?(seed = 11001) () =
+let scheduler_knobs ?(duration_s = 5) () =
+  let seed = 11001 in
   let cases =
     [
       ("fair share", Slice.create "a");
@@ -74,7 +75,8 @@ let scheduler_knobs ?(duration_s = 5) ?(seed = 11001) () =
       })
     cases
 
-let buffer_sweep ?(rate_mbps = 35.0) ?(duration_s = 10) ?(seed = 12001) () =
+let buffer_sweep ?(duration_s = 10) () =
+  let rate_mbps = 35.0 and seed = 12001 in
   List.mapi
     (fun i kb ->
       let engine, iias =
@@ -92,7 +94,8 @@ let buffer_sweep ?(rate_mbps = 35.0) ?(duration_s = 10) ?(seed = 12001) () =
       (kb, Iperf.udp_loss_pct run))
     [ 16; 32; 64; 128; 256 ]
 
-let timer_sweep ?(seed = 13001) () =
+let timer_sweep () =
+  let seed = 13001 in
   List.mapi
     (fun i (hello, dead) ->
       (* Detection delay depends on hello phase; average a few seeds. *)
@@ -119,7 +122,8 @@ let timer_sweep ?(seed = 13001) () =
 
 (* --- isolation matrix ---------------------------------------------------- *)
 
-let isolation_matrix ?(duration_s = 8) ?(seed = 14001) () =
+let isolation_matrix () =
+  let duration_s = 8 and seed = 14001 in
   let module Pnode = Vini_phys.Pnode in
   let run ~idx ~cpu_isolated ~htb =
     let engine = Engine.create ~seed:(seed + (11 * idx)) () in

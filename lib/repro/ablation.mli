@@ -19,22 +19,19 @@ type knob_result = {
   ping_mdev_ms : float;
 }
 
-val scheduler_knobs :
-  ?duration_s:int -> ?seed:int -> unit -> knob_result list
+val scheduler_knobs : ?duration_s:int -> unit -> knob_result list
 (** Fair share, reservation-only, rt-only, and both (PL-VINI), each
     measured like Table 4/5 on the PlanetLab chain. *)
 
-val buffer_sweep :
-  ?rate_mbps:float -> ?duration_s:int -> ?seed:int -> unit -> (int * float) list
-(** (buffer KB, loss %) at a fixed CBR rate on a default-share slice, for
+val buffer_sweep : ?duration_s:int -> unit -> (int * float) list
+(** (buffer KB, loss %) at 35 Mb/s CBR on a default-share slice, for
     16, 32, 64, 128 and 256 KB buffers. *)
 
-val timer_sweep : ?seed:int -> unit -> (int * int * float) list
+val timer_sweep : unit -> (int * int * float) list
 (** (hello s, dead s, measured detection delay s) on the Abilene mirror,
     for hello/dead timers of 1/4, 2/6, 5/10 and 10/25 s. *)
 
-val isolation_matrix :
-  ?duration_s:int -> ?seed:int -> unit -> knob_result list
+val isolation_matrix : unit -> knob_result list
 (** §3.4's isolation story, quantified: a measuring experiment shares
     three nodes with a noisy one blasting 60 Mb/s of UDP.  Four
     configurations: no isolation at all, CPU isolation only (PL-VINI

@@ -59,14 +59,14 @@ let export_of_migration (m : Vini.migration) =
 (* Shared scaffolding of both scenarios: the virtual ring auto-placed on
    Abilene, 30 s of routing warmup, then pings across the ring while the
    disruption (a crash or a planned move) plays out. *)
-let scenario ~seed ~vnodes ~algo ~events ~disrupt ~duration () =
+let scenario ~seed ~vnodes ~events ~disrupt ~duration () =
   let g = Vini_rcc.Rcc.abilene () in
   let vtopo = virtual_ring vnodes in
   let engine = Engine.create ~seed () in
   let profile _ = Underlay.planetlab_profile ~speed_ghz:2.0 in
   let vini = Vini.create ~engine ~graph:g ~profile () in
   let req =
-    Request.make ~name:"migrate-demo" ~cpu:(fun _ -> 0.25) ~algo ~seed ()
+    Request.make ~name:"migrate-demo" ~cpu:(fun _ -> 0.25) ~seed ()
   in
   let spec =
     Experiment.make ~name:"migrate-demo" ~slice:(Slice.pl_vini "migrate")
@@ -123,15 +123,14 @@ let scenario ~seed ~vnodes ~algo ~events ~disrupt ~duration () =
     export;
   }
 
-let run ?(seed = 4242) ?(vnodes = 6) ?(crash_at = 10.0) ?(duration = 40.0)
-    ?(algo = Request.Greedy) () =
-  scenario ~seed ~vnodes ~algo
+let run ?(seed = 4242) ?(vnodes = 6) ?(crash_at = 10.0) ?(duration = 40.0) () =
+  scenario ~seed ~vnodes
     ~events:[ Experiment.at (warmup_s +. crash_at) (Experiment.Crash_pnode 0) ]
     ~disrupt:(fun ~engine:_ ~vini:_ ~inst:_ -> ())
     ~duration ()
 
 let run_planned ?(seed = 4242) ?(vnodes = 6) ?(migrate_at = 10.0)
-    ?(duration = 40.0) ?(algo = Request.Greedy) ?target () =
+    ?(duration = 40.0) ?target () =
   let disrupt ~engine ~vini ~inst =
     ignore
       (Engine.at engine
@@ -160,7 +159,7 @@ let run_planned ?(seed = 4242) ?(vnodes = 6) ?(migrate_at = 10.0)
            in
            ignore (Vini.migrate ~target inst ~vnode:0)))
   in
-  scenario ~seed ~vnodes ~algo ~events:[] ~disrupt ~duration ()
+  scenario ~seed ~vnodes ~events:[] ~disrupt ~duration ()
 
 (* --- planned vs. crash-driven ------------------------------------------- *)
 

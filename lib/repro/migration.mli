@@ -51,7 +51,6 @@ val run :
   ?vnodes:int ->
   ?crash_at:float ->
   ?duration:float ->
-  ?algo:Vini_embed.Request.algo ->
   unit ->
   result
 (** Crash-driven scenario.  Defaults: seed 4242, 6 virtual nodes, crash
@@ -64,7 +63,6 @@ val run_planned :
   ?vnodes:int ->
   ?migrate_at:float ->
   ?duration:float ->
-  ?algo:Vini_embed.Request.algo ->
   ?target:int ->
   unit ->
   result

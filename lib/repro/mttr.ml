@@ -29,8 +29,8 @@ type row = {
   watchdog_violations : (string * int) list;
 }
 
-let run_one ?(seed = 9301) ?(fail_at = 10.0) ?(restore_at = 25.0)
-    ?(ping_interval_ms = 250) ~fault () =
+let run_one ?(seed = 9301) ~fault () =
+  let fail_at = 10.0 and restore_at = 25.0 and ping_interval_ms = 250 in
   let g = topology () in
   let denver = Graph.id_of_name g "Denver" in
   let kansas_city = Graph.id_of_name g "Kansas-City" in
@@ -126,24 +126,16 @@ let run_one ?(seed = 9301) ?(fail_at = 10.0) ?(restore_at = 25.0)
     wd,
     iias )
 
-let run ?seed ?fail_at ?restore_at ?ping_interval_ms ~fault () =
-  let row, _, _ =
-    run_one ?seed ?fail_at ?restore_at ?ping_interval_ms ~fault ()
-  in
-  row
-
 let sweep ?seed ?(backoffs = [ 0.5; 2.0; 8.0 ]) () =
-  let node_rows =
-    List.map
-      (fun base_backoff ->
-        run ?seed
-          ~fault:
-            (Node_crash
-               { Supervisor.default_policy with Supervisor.base_backoff })
-          ())
-      backoffs
+  let run fault =
+    let row, _, _ = run_one ?seed ~fault () in
+    row
   in
-  node_rows @ [ run ?seed ~fault:Link_cut () ]
+  List.map
+    (fun base_backoff ->
+      run (Node_crash { Supervisor.default_policy with Supervisor.base_backoff }))
+    backoffs
+  @ [ run Link_cut ]
 
 let row_strings rows =
   Printf.sprintf "%-28s %9s %6s %10s %8s %s" "scenario" "detect_s" "lost"

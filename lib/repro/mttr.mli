@@ -27,27 +27,15 @@ type row = {
   watchdog_violations : (string * int) list;
 }
 
-val run :
-  ?seed:int ->
-  ?fail_at:float ->
-  ?restore_at:float ->
-  ?ping_interval_ms:int ->
-  fault:fault ->
-  unit ->
-  row
-(** One run.  Defaults: seed 9301, fail 10 s and repair 25 s into a 50 s
-    measurement window (after 40 s of routing warmup), 250 ms pings. *)
-
 val run_one :
   ?seed:int ->
-  ?fail_at:float ->
-  ?restore_at:float ->
-  ?ping_interval_ms:int ->
   fault:fault ->
   unit ->
   row * Vini_measure.Watchdog.t * Vini_overlay.Iias.t
-(** Like {!run} but also hands back the watchdog and overlay for
-    fine-grained assertions (tests). *)
+(** One run, handing back the watchdog and overlay for fine-grained
+    assertions (tests): fail 10 s and repair 25 s into a 50 s
+    measurement window (after 40 s of routing warmup), 250 ms pings;
+    seed 9301 by default. *)
 
 val sweep : ?seed:int -> ?backoffs:float list -> unit -> row list
 (** Node-crash rows for each backoff (default 0.5/2/8 s) plus the

@@ -141,8 +141,7 @@ let one_udp ~condition ~seed ~duration_s ~rate_mbps =
   Engine.run ~until:(Time.add (Time.add start duration) (Time.sec 2)) engine;
   (Iperf.udp_loss_pct run, Iperf.udp_jitter_ms run)
 
-let jitter condition ?(rates_mbps = [ 1.0; 10.0; 25.0; 50.0 ]) ?(duration_s = 10)
-    ?(seed = 7001) () =
+let jitter condition ?(duration_s = 10) ?(seed = 7001) () =
   let stats = Vini_std.Stats.create () in
   List.iteri
     (fun i rate ->
@@ -150,7 +149,7 @@ let jitter condition ?(rates_mbps = [ 1.0; 10.0; 25.0; 50.0 ]) ?(duration_s = 10
         one_udp ~condition ~seed:(seed + (13 * i)) ~duration_s ~rate_mbps:rate
       in
       Vini_std.Stats.add stats j)
-    rates_mbps;
+    [ 1.0; 10.0; 25.0; 50.0 ];
   {
     jitter_mean_ms = Vini_std.Stats.mean stats;
     jitter_stddev_ms = Vini_std.Stats.stddev stats;

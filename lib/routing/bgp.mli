@@ -23,8 +23,6 @@ type update = {
 type msg = Open of { asn : int; rid : int } | Keepalive | Update of update
 type Vini_net.Packet.control += Msg of msg
 
-val msg_size : msg -> int
-
 type peer_kind = [ `Ebgp | `Ibgp ]
 type peer_id = int
 

@@ -86,7 +86,6 @@ let attach_client t ~spec ~send =
 
 let receive t ~peer msg = Bgp.receive t.bgp ~peer msg
 let start t = Bgp.start t.bgp
-let speaker t = t.bgp
 
 let client_state t name =
   match Hashtbl.find_opt t.clients name with

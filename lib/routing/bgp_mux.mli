@@ -46,9 +46,6 @@ val attach_client :
 val receive : t -> peer:Bgp.peer_id -> Vini_net.Packet.control -> unit
 val start : t -> unit
 
-val speaker : t -> Bgp.t
-(** The underlying BGP instance (inspection). *)
-
 val rejected : t -> client:string -> int
 (** Announcements refused for being outside the client's allocation. *)
 

@@ -9,7 +9,3 @@ type iface = {
 
 let make ~ifindex ~ifname ~local ~remote ~cost ~send =
   { ifindex; ifname; local; remote; cost; send }
-
-let pp ppf t =
-  Format.fprintf ppf "%s(#%d) %a -> %a cost %d" t.ifname t.ifindex
-    Vini_net.Addr.pp t.local Vini_net.Addr.pp t.remote t.cost

@@ -27,5 +27,3 @@ val make :
   cost:int ->
   send:(Vini_net.Packet.control -> size:int -> unit) ->
   iface
-
-val pp : Format.formatter -> iface -> unit

@@ -87,8 +87,6 @@ let create ~engine ~rng ~config ~ifaces ~rib =
     stopped = false;
   }
 
-let router_id t = t.config.router_id
-
 let send t (iface : Io.iface) msg =
   if not t.stopped then begin
     t.messages_sent <- t.messages_sent + 1;
@@ -415,8 +413,6 @@ let stop t =
         Hashtbl.reset n.retx)
       t.nbrs
   end
-
-let stopped t = t.stopped
 
 let reoriginate t = originate_lsa t
 

@@ -28,8 +28,6 @@ type msg =
 
 type Vini_net.Packet.control += Msg of msg
 
-val msg_size : msg -> int
-
 type config = {
   router_id : int;
   hello_interval : Vini_sim.Time.t;
@@ -62,13 +60,10 @@ val stop : t -> unit
     crashes; a supervised restart creates a fresh instance which re-forms
     adjacencies and resyncs the LSDB. *)
 
-val stopped : t -> bool
-
 val receive : t -> ifindex:int -> Vini_net.Packet.control -> unit
 (** Feed an OSPF control message that arrived on an interface; non-OSPF
     messages are ignored. *)
 
-val router_id : t -> int
 val full_neighbors : t -> (int * int) list
 (** (ifindex, neighbour router id) of adjacencies in Full state. *)
 

@@ -105,10 +105,3 @@ let routes t = Pmap.bindings t.best
    crash the fresh (empty) FIB is repopulated from here, so routes survive
    the restart even before the protocols reconverge. *)
 let reinstall t = Pmap.iter (fun p r -> t.fea (Install (p, r))) t.best
-
-let pp ppf t =
-  List.iter
-    (fun (p, r) ->
-      Format.fprintf ppf "%a via %a metric %d [%s]@." Prefix.pp p
-        Vini_net.Addr.pp r.next_hop r.metric (proto_name r.proto))
-    (routes t)

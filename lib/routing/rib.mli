@@ -44,5 +44,3 @@ val routes : t -> (Vini_net.Prefix.t * route) list
 val reinstall : t -> unit
 (** Re-emit [Install] for every current best route — repopulates a freshly
     cleared FIB after a data-plane restart, before protocols reconverge. *)
-
-val pp : Format.formatter -> t -> unit

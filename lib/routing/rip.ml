@@ -238,8 +238,6 @@ let stop t =
     Pmap.iter (fun _ r -> cancel_timers r) t.routes
   end
 
-let stopped t = t.stopped
-
 let table t =
   Pmap.fold
     (fun p r acc -> if r.metric < infinity_metric then (p, r.metric) :: acc else acc)

@@ -15,8 +15,6 @@ type config = {
   local_prefixes : Vini_net.Prefix.t list;
 }
 
-val default_config : local_prefixes:Vini_net.Prefix.t list -> config
-
 val scaled_config :
   scale:float -> local_prefixes:Vini_net.Prefix.t list -> config
 (** Classic timers multiplied by [scale] (tests run at 1/10th speed). *)
@@ -27,8 +25,6 @@ val infinity_metric : int
 type entry = { prefix : Vini_net.Prefix.t; metric : int }
 type msg = Response of entry list
 type Vini_net.Packet.control += Msg of msg
-
-val msg_size : msg -> int
 
 type t
 
@@ -46,8 +42,6 @@ val receive : t -> ifindex:int -> Vini_net.Packet.control -> unit
 val stop : t -> unit
 (** Permanently silence the instance (process crash); restart uses a fresh
     instance. *)
-
-val stopped : t -> bool
 
 val table : t -> (Vini_net.Prefix.t * int) list
 (** (prefix, metric), reachable routes only. *)

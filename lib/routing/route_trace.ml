@@ -84,7 +84,8 @@ let of_string text =
   in
   go [] (String.split_on_char '\n' text)
 
-let play ~engine ~rib ?(proto = Rib.Static) ?(speed = 1.0) entries =
+let play ~engine ~rib ?(speed = 1.0) entries =
+  let proto = Rib.Static in
   if speed <= 0.0 then invalid_arg "Route_trace.play: speed must be positive";
   match entries with
   | [] -> ()

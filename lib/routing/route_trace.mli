@@ -15,8 +15,8 @@
     v}
 
     Playback schedules the same changes, shifted to start "now", into any
-    RIB (under a configurable protocol, default [Static] so replayed
-    routes coexist with — and lose to — connected routes). *)
+    RIB (under [Static], so replayed routes coexist with — and lose to —
+    connected routes). *)
 
 type entry = { at : Vini_sim.Time.t; change : Rib.change }
 
@@ -37,10 +37,9 @@ val of_string : string -> (entry list, string) result
 val play :
   engine:Vini_sim.Engine.t ->
   rib:Rib.t ->
-  ?proto:Rib.proto ->
   ?speed:float ->
   entry list ->
   unit
 (** Schedule the trace's changes into [rib] starting now; [speed] > 1
     replays faster than recorded.  Withdraw entries withdraw the replayed
-    protocol's candidate. *)
+    [Static] candidate. *)

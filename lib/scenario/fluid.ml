@@ -215,8 +215,6 @@ let install ~under cfg =
         not t.stopped);
   t
 
-let config t = t.cfg
-
 let totals t =
   {
     flows = t.flows;
@@ -250,9 +248,10 @@ let to_json t =
              (fun d ->
                let qi = (2 * li) + d in
                let last = load t qi in
-               let u, v =
-                 if d = 0 then (l.Graph.a, l.Graph.b) else (l.Graph.b, l.Graph.a)
-               in
+               (* Queue [2 li + d] runs min -> max for d = 0 ([dir_of]),
+                  whichever end the link lists first. *)
+               let lo = min l.Graph.a l.Graph.b and hi = max l.Graph.a l.Graph.b in
+               let u, v = if d = 0 then (lo, hi) else (hi, lo) in
                Json.Obj
                  [
                    ("from", Json.Str (Graph.name t.graph u));

@@ -73,7 +73,6 @@ val install :
     parameters fail {!Workload.validate}.  With [fidelity = Packet] no
     tick is scheduled and the model stays inert. *)
 
-val config : t -> config
 val totals : t -> totals
 
 val link_load :

@@ -40,11 +40,6 @@ val backbone : ?degree:int -> ?bandwidth_bps:float -> int -> kind
 (** [backbone pops] synthetic continental backbone (defaults
     [degree = 3] nearest-neighbour links per PoP, 10 Gb/s). *)
 
-val label : spec -> string
-(** Deterministic name stamped on the generated graph, e.g.
-    ["backbone-200-s42"]; {!Vini_topo.Graph.Unknown_node} errors on a
-    generated substrate name it. *)
-
 val generate : spec -> Vini_topo.Graph.t
 (** Byte-identical per [spec]; always connected.
     @raise Invalid_argument on nonsensical parameters (n < 1, odd
@@ -63,12 +58,6 @@ val weight_of_delay : Vini_sim.Time.t -> int
 
 val schema_version : string
 (** ["vini.topo/1"]. *)
-
-val to_json : spec -> Vini_topo.Graph.t -> Vini_std.Json.t
-(** The substrate as a [vini.topo/1] document: schema tag, generator
-    provenance (kind, parameters, seed), node names, and per-link
-    bandwidth / delay (ns) / loss / weight.  Deterministic: field and
-    array order are fixed, so equal specs give byte-identical text. *)
 
 val document : spec -> string
 (** [to_json] of [generate], printed. *)

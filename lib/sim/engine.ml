@@ -206,6 +206,5 @@ let events_cancelled t = t.cancelled_count
 let max_pending t = t.max_pending
 
 let set_profiling t on = t.profiling <- on
-let profiling t = t.profiling
 let horizon_hist t = t.horizon_hist
 let callback_hist t = t.callback_hist

@@ -118,7 +118,6 @@ val max_pending : t -> int
     boolean test per event. *)
 
 val set_profiling : t -> bool -> unit
-val profiling : t -> bool
 
 val horizon_hist : t -> Vini_std.Histogram.t
 (** How far ahead of the clock events are scheduled (simulated seconds) —

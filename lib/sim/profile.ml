@@ -83,7 +83,6 @@ let uninstall () =
   gate := false
 
 let current () = !installed
-let on () = !gate
 
 (* ---- array growth helpers --------------------------------------------- *)
 
@@ -255,10 +254,3 @@ let attributed_cost_s p =
     s := !s +. p.path_cost.(id)
   done;
   !s
-
-let reset p =
-  Array.fill p.cls_packets 0 (Array.length p.cls_packets) 0;
-  p.depth <- 0;
-  p.overflow <- 0;
-  Hashtbl.reset p.path_tbl;
-  p.npaths <- 0

@@ -32,9 +32,6 @@ val gate : bool ref
 (** The one-load-and-test gate.  Instrumented hot paths check
     [!Profile.gate] before doing any other profiling work. *)
 
-val on : unit -> bool
-(** [!gate], as a function — for call sites outside hot paths. *)
-
 (** {2 Element-class registry}
 
     Class ids are process-global (minted at element creation, before any
@@ -84,7 +81,3 @@ val element_rows : t -> element_row list
 (** Per-class summary, sorted by total cost descending. *)
 
 val attributed_cost_s : t -> float
-
-val reset : t -> unit
-(** Zero all counters and paths (the class registry is global and
-    survives). *)

@@ -93,7 +93,6 @@ let uninstall () =
   recorder_ref := None;
   Trace.set_span_recorder false
 
-let recorder () = !recorder_ref
 let on () = !Trace.span_gate
 
 let push t r =

@@ -83,11 +83,8 @@ type record =
 
 type t
 
-val default_capacity : int
-(** 262144 records. *)
-
 val create : ?capacity:int -> unit -> t
-(** A ring of [capacity] records (default {!default_capacity}).
+(** A ring of [capacity] records (default 262144).
     @raise Invalid_argument if [capacity <= 0]. *)
 
 (** {2 The global recorder}
@@ -100,7 +97,6 @@ val install : t -> unit
     trace sink enabling [Trace.Category.Span]). *)
 
 val uninstall : unit -> unit
-val recorder : unit -> t option
 
 val on : unit -> bool
 (** One load: [true] iff a recorder is installed and the installed trace

@@ -29,7 +29,6 @@ let max_value = max_int
 let compare : t -> t -> int = Int.compare
 let ( <= ) : t -> t -> bool = Stdlib.( <= )
 let ( < ) : t -> t -> bool = Stdlib.( < )
-let ( >= ) : t -> t -> bool = Stdlib.( >= )
 let ( > ) : t -> t -> bool = Stdlib.( > )
 (* Int functions, not [Stdlib.min]/[max]: those are polymorphic and
    compare through [compare_val] on every packet-path call. *)

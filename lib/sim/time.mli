@@ -45,7 +45,6 @@ val max_value : t
 val compare : t -> t -> int
 val ( <= ) : t -> t -> bool
 val ( < ) : t -> t -> bool
-val ( >= ) : t -> t -> bool
 val ( > ) : t -> t -> bool
 val min : t -> t -> t
 val max : t -> t -> t

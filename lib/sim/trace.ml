@@ -165,7 +165,6 @@ let uninstall () =
   sink_ref := None;
   refresh_global_mask ()
 
-let sink () = !sink_ref
 let on cat = !global_mask land Category.bit cat <> 0
 
 let enabled t cat = t.mask land Category.bit cat <> 0
@@ -221,24 +220,3 @@ let clear t =
   t.head <- 0;
   t.len <- 0;
   t.overwritten <- 0
-
-let kind_detail = function
-  | Packet_tx { bytes } -> Printf.sprintf "tx %dB" bytes
-  | Packet_rx { bytes } -> Printf.sprintf "rx %dB" bytes
-  | Packet_drop { reason; bytes } -> Printf.sprintf "drop %dB (%s)" bytes reason
-  | Route_update { prefix; action } -> Printf.sprintf "%s %s" action prefix
-  | Sched_latency { seconds } -> Printf.sprintf "sched %.6fs" seconds
-  | Fault_injected { action } -> action
-  | Process_lifecycle { phase; detail } ->
-      if detail = "" then phase else Printf.sprintf "%s (%s)" phase detail
-  | Watchdog_check { check; detail } -> Printf.sprintf "%s: %s" check detail
-  | Custom detail -> detail
-
-let pp_event ppf ev =
-  Format.fprintf ppf "%a %-5s %-14s %-24s %s" Time.pp ev.time
-    (severity_name ev.severity)
-    (Category.name (category_of_kind ev.kind))
-    ev.component (kind_detail ev.kind)
-
-let pp ppf t =
-  List.iter (fun ev -> Format.fprintf ppf "%a@." pp_event ev) (events t)

@@ -77,7 +77,6 @@ val record : ?severity:severity -> t -> component:string -> kind -> unit
 
 val install : t -> unit
 val uninstall : unit -> unit
-val sink : unit -> t option
 
 val on : Category.t -> bool
 (** One load + mask test: [true] iff a sink is installed {e and} the
@@ -130,7 +129,3 @@ val span_gate : bool ref
 val set_span_recorder : bool -> unit
 (** Called by [Span.install] / [Span.uninstall] to declare whether a span
     ring is present. *)
-
-val pp : Format.formatter -> t -> unit
-(** One line per event: time, severity, category, component and a short
-    rendering of the payload. *)

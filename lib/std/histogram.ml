@@ -120,7 +120,3 @@ let clear t =
   t.sum <- 0.0;
   t.min_v <- infinity;
   t.max_v <- neg_infinity
-
-let pp_summary ppf t =
-  Format.fprintf ppf "n=%d p50/p95/p99 = %.3g/%.3g/%.3g" t.count
-    (percentile t 50.0) (percentile t 95.0) (percentile t 99.0)

@@ -32,6 +32,3 @@ val buckets : t -> (float * float * int) list
 
 val merge : t -> t -> t
 val clear : t -> unit
-
-val pp_summary : Format.formatter -> t -> unit
-(** "n=… p50/p95/p99 = …" one-liner. *)

@@ -28,7 +28,6 @@ let float t x =
   let u = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   u /. 9007199254740992.0 *. x
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
 let uniform t lo hi = lo +. float t (hi -. lo)
 
 let exponential t mean =

@@ -26,8 +26,6 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t x] is uniform in [\[0, x)]. *)
 
-val bool : t -> bool
-
 val uniform : t -> float -> float -> float
 (** [uniform t lo hi] is uniform in [\[lo, hi)]. *)
 

@@ -30,8 +30,6 @@ val percentile : t -> float -> float
 (** [percentile t p] for [p] in [\[0,100\]], nearest-rank method. *)
 
 val sum : t -> float
-val samples : t -> float list
-(** Samples in insertion order. *)
 
 val merge : t -> t -> t
 (** New accumulator holding both sample sets. *)

@@ -133,54 +133,33 @@ module Nlr = struct
         ]
 end
 
-let ring ~n ?(bandwidth_bps = 1e9) ?(delay = Vini_sim.Time.ms 2) () =
+(* The synthetic shapes' links: 1 Gb/s, 2 ms, weight 1. *)
+let unit_link a b =
+  { Graph.a; b; bandwidth_bps = 1e9; delay = Vini_sim.Time.ms 2; loss = 0.0;
+    weight = 1 }
+
+let ring ~n () =
   if n < 3 then invalid_arg "Datasets.ring: need at least 3 nodes";
   Graph.relabel (Printf.sprintf "ring-%d" n)
   @@ Graph.create
     ~names:(Array.init n (Printf.sprintf "r%d"))
-    ~links:
-      (List.init n (fun i ->
-           {
-             Graph.a = i;
-             b = (i + 1) mod n;
-             bandwidth_bps;
-             delay;
-             loss = 0.0;
-             weight = 1;
-           }))
+    ~links:(List.init n (fun i -> unit_link i ((i + 1) mod n)))
 
-let star ~leaves ?(bandwidth_bps = 1e9) ?(delay = Vini_sim.Time.ms 2) () =
+let star ~leaves () =
   if leaves < 1 then invalid_arg "Datasets.star: need at least 1 leaf";
   Graph.relabel (Printf.sprintf "star-%d" leaves)
   @@ Graph.create
     ~names:(Array.init (leaves + 1) (fun i -> if i = 0 then "hub" else Printf.sprintf "leaf%d" i))
-    ~links:
-      (List.init leaves (fun i ->
-           {
-             Graph.a = 0;
-             b = i + 1;
-             bandwidth_bps;
-             delay;
-             loss = 0.0;
-             weight = 1;
-           }))
+    ~links:(List.init leaves (fun i -> unit_link 0 (i + 1)))
 
-let grid ~rows ~cols ?(bandwidth_bps = 1e9) ?(delay = Vini_sim.Time.ms 2) () =
+let grid ~rows ~cols () =
   if rows < 1 || cols < 1 then invalid_arg "Datasets.grid: bad dimensions";
   let id r c = (r * cols) + c in
   let links = ref [] in
   for r = 0 to rows - 1 do
     for c = 0 to cols - 1 do
-      if c + 1 < cols then
-        links :=
-          { Graph.a = id r c; b = id r (c + 1); bandwidth_bps; delay;
-            loss = 0.0; weight = 1 }
-          :: !links;
-      if r + 1 < rows then
-        links :=
-          { Graph.a = id r c; b = id (r + 1) c; bandwidth_bps; delay;
-            loss = 0.0; weight = 1 }
-          :: !links
+      if c + 1 < cols then links := unit_link (id r c) (id r (c + 1)) :: !links;
+      if r + 1 < rows then links := unit_link (id r c) (id (r + 1) c) :: !links
     done
   done;
   Graph.relabel (Printf.sprintf "grid-%dx%d" rows cols)
@@ -188,8 +167,9 @@ let grid ~rows ~cols ?(bandwidth_bps = 1e9) ?(delay = Vini_sim.Time.ms 2) () =
     ~names:(Array.init (rows * cols) (Printf.sprintf "g%d"))
     ~links:!links
 
-let waxman ~rng ~n ?(alpha = 0.4) ?(beta = 0.6) ?(bandwidth_bps = 1e9) () =
+let waxman ~rng ~n () =
   if n < 1 then invalid_arg "Datasets.waxman: n must be positive";
+  let alpha = 0.4 and beta = 0.6 in
   let xs = Array.init n (fun _ -> Vini_std.Rng.float rng 1.0) in
   let ys = Array.init n (fun _ -> Vini_std.Rng.float rng 1.0) in
   let dist i j = Float.hypot (xs.(i) -. xs.(j)) (ys.(i) -. ys.(j)) in
@@ -198,9 +178,7 @@ let waxman ~rng ~n ?(alpha = 0.4) ?(beta = 0.6) ?(bandwidth_bps = 1e9) () =
     (* 5 us/km of fiber, floor of 100 us so zero-length links stay sane. *)
     Float.max 0.1 (dist i j *. km_per_unit *. 0.005)
   in
-  let mk i j =
-    link ~bw:bandwidth_bps (min i j) (max i j) (delay_ms i j)
-  in
+  let mk i j = link ~bw:1e9 (min i j) (max i j) (delay_ms i j) in
   let have = Hashtbl.create 16 in
   let links = ref [] in
   let add i j =

@@ -11,18 +11,9 @@ module Abilene : sig
   val topology : unit -> Graph.t
 
   val seattle : int
-  val sunnyvale : int
-  val los_angeles : int
   val denver : int
   val kansas_city : int
-  val houston : int
-  val atlanta : int
-  val indianapolis : int
-  val chicago : int
-  val new_york : int
   val washington : int
-
-  val pop_names : string array
 end
 
 (** The 3-machine DETER/Emulab chain of §5.1.1: Src — Fwdr — Sink over
@@ -53,35 +44,24 @@ module Nlr : sig
   val topology : unit -> Graph.t
 
   val seattle : int
-  val sunnyvale : int
-  val los_angeles : int
-  val denver : int
-  val chicago : int
-  val pittsburgh : int
-  val washington : int
-  val atlanta : int
   val jacksonville : int
-  val houston : int
 end
 
-val ring : n:int -> ?bandwidth_bps:float -> ?delay:Vini_sim.Time.t -> unit -> Graph.t
-(** n nodes in a cycle; weights 1. @raise Invalid_argument for n < 3. *)
+(** The synthetic shapes [ring], [star] and [grid] use 1 Gb/s, 2 ms
+    links of weight 1. *)
 
-val star : leaves:int -> ?bandwidth_bps:float -> ?delay:Vini_sim.Time.t -> unit -> Graph.t
+val ring : n:int -> unit -> Graph.t
+(** n nodes in a cycle. @raise Invalid_argument for n < 3. *)
+
+val star : leaves:int -> unit -> Graph.t
 (** Hub node 0 with [leaves] spokes. @raise Invalid_argument for leaves < 1. *)
 
-val grid : rows:int -> cols:int -> ?bandwidth_bps:float -> ?delay:Vini_sim.Time.t -> unit -> Graph.t
+val grid : rows:int -> cols:int -> unit -> Graph.t
 (** rows x cols mesh, node id = row*cols + col.
     @raise Invalid_argument unless both dimensions are positive. *)
 
-val waxman :
-  rng:Vini_std.Rng.t ->
-  n:int ->
-  ?alpha:float ->
-  ?beta:float ->
-  ?bandwidth_bps:float ->
-  unit ->
-  Graph.t
-(** Waxman random topology on the unit square; guaranteed connected (a
-    random spanning tree is added first).  Link delays follow Euclidean
-    distance at 5 µs/km on a 4000 km square; weights are delay-derived. *)
+val waxman : rng:Vini_std.Rng.t -> n:int -> unit -> Graph.t
+(** Waxman random topology on the unit square (alpha 0.4, beta 0.6, 1 Gb/s
+    links); guaranteed connected (a random spanning tree is added first).
+    Link delays follow Euclidean distance at 5 µs/km on a 4000 km square;
+    weights are delay-derived. *)

@@ -520,6 +520,62 @@ let test_fluid_matches_hop_walk () =
   check Alcotest.bool "the oracle saw queueing and loss" true
     (!lossy && !delayed)
 
+(* A vini.topo/1 file may list a link's higher id first.  Each to_json
+   row must still carry the load of the direction it names. *)
+let test_fluid_json_rows_name_their_direction () =
+  let link a b =
+    Json.Obj
+      [
+        ("a", Json.Num (float_of_int a));
+        ("b", Json.Num (float_of_int b));
+        ("bandwidth_bps", Json.Num 1e9);
+        ("delay_ns", Json.Num 1e6);
+        ("loss", Json.Num 0.0);
+        ("weight", Json.Num 1.0);
+      ]
+  in
+  let graph =
+    match
+      Generate.of_json
+        (Json.Obj
+           [
+             ("schema", Json.Str Generate.schema_version);
+             ("nodes", Json.Arr [ Json.Str "n0"; Json.Str "n1"; Json.Str "n2" ]);
+             ("links", Json.Arr [ link 1 0; link 1 2 ]);
+           ])
+    with
+    | Ok g -> g
+    | Error e -> Alcotest.failf "of_json: %s" e
+  in
+  let engine = Engine.create ~seed:7 () in
+  let under =
+    Underlay.create ~engine ~rng:(Vini_std.Rng.split (Engine.rng engine)) ~graph
+      ()
+  in
+  let workload = Workload.default ~users:200_000 ~seed:8 in
+  let fl =
+    Fluid.install ~under
+      { Fluid.fidelity = Fluid.Flow; tick = Fluid.default_tick; workload }
+  in
+  Engine.run ~until:(Time.sec 3) engine;
+  let offered a b = (Fluid.link_load fl ~a ~b).Fluid.offered_bps in
+  if offered 1 0 = offered 0 1 then
+    Alcotest.fail "the two directions of link (1, 0) carry the same load";
+  let row from to_ =
+    let rows =
+      Option.bind (Json.member "links" (Fluid.to_json fl)) Json.to_list
+      |> Option.value ~default:[]
+    in
+    let str key r = Option.bind (Json.member key r) Json.to_str in
+    match
+      List.find_opt (fun r -> str "from" r = Some from && str "to" r = Some to_) rows
+    with
+    | Some r -> Option.get (Option.bind (Json.member "offered_bps" r) Json.to_float)
+    | None -> Alcotest.failf "no to_json row %s -> %s" from to_
+  in
+  check (Alcotest.float 0.0) "row n1 -> n0" (offered 1 0) (row "n1" "n0");
+  check (Alcotest.float 0.0) "row n0 -> n1" (offered 0 1) (row "n0" "n1")
+
 (* Fluid loss reaching packets: under the 40M-user overload the fluid
    queues shed, and hybrid fidelity pushes that loss into the packet path
    of a UDP stream crossing a shedding link. *)
@@ -723,6 +779,8 @@ let suite =
       test_fluid_partition_drops_at_edge;
     Alcotest.test_case "fluid queues and loads match a hop-by-hop walk" `Quick
       test_fluid_matches_hop_walk;
+    Alcotest.test_case "fluid to_json rows name their direction" `Quick
+      test_fluid_json_rows_name_their_direction;
     Alcotest.test_case "hybrid fluid loss reaches packets" `Quick
       test_hybrid_loss_reaches_packets;
     Alcotest.test_case "spec verbs parse and resolve" `Quick

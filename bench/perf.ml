@@ -1,5 +1,4 @@
-(* Standalone entry point for the hot-path performance suite — what the
-   CI bench-regression job runs (the full harness in main.ml also invokes
-   the suite at the end of its run). *)
+(* Entry point for the hot-path performance suite (perf_suite.ml) — what
+   the CI bench-regression job runs. *)
 
 let () = Perf_suite.run ()

@@ -507,29 +507,20 @@ let macro () =
 (* Three more replays of the same workload: two with the recorder absent
    (their ratio, [spans_disabled_path], isolates run-to-run noise on the
    disabled path — every packet-path site pays exactly one load+test — and
-   is gated near 1.0 in CI), one with the recorder installed and the span
-   category enabled ([spans_enabled_cost], recorded but not gated: full
+   is gated near 1.0 in CI), one with the recorder installed
+   ([spans_enabled_cost], recorded but not gated: full
    recording is a debugging mode, not the default). *)
 
 let spans_replay ~spans ~duration_s =
   (* Start every replay from a compacted heap: the pairwise ratios must
      not see the previous replay's allocator state. *)
   Gc.compact ();
-  if spans then begin
-    let trace =
-      Vini_sim.Trace.create ~capacity:64
-        ~categories:[ Vini_sim.Trace.Category.Span ] ()
-    in
-    Vini_sim.Trace.install trace;
-    Vini_sim.Span.install (Vini_sim.Span.create ~capacity:65_536 ())
-  end;
+  if spans then
+    Vini_sim.Span.install (Vini_sim.Span.create ~capacity:65_536 ());
   let t0 = Sys.time () in
   ignore (Vini_repro.Deter.iias_tcp ~runs:1 ~duration_s ());
   let cpu = Sys.time () -. t0 in
-  if spans then begin
-    Vini_sim.Span.uninstall ();
-    Vini_sim.Trace.uninstall ()
-  end;
+  if spans then Vini_sim.Span.uninstall ();
   cpu
 
 let spans_benches () =

@@ -8,6 +8,15 @@ module Report = Vini_measure.Report
 
 let f = Report.fmt_f
 
+(* The §5 tables print the paper's figure next to ours, column by column.
+   [paired_header ["Mb/s"; "std"]] is [""; "paper Mb/s"; "ours Mb/s";
+   "paper std"; "ours std"]; [paired name paper ours] fills such a row. *)
+let paired_header cols =
+  "" :: List.concat_map (fun c -> [ "paper " ^ c; "ours " ^ c ]) cols
+
+let paired name paper ours =
+  name :: List.concat (List.map2 (fun p o -> [ p; o ]) paper ours)
+
 (* --- shared options ------------------------------------------------------ *)
 
 let runs_arg =
@@ -15,7 +24,10 @@ let runs_arg =
   Arg.(value & opt int 3 & info [ "r"; "runs" ] ~docv:"N" ~doc)
 
 let seconds_arg =
-  let doc = "Measurement window per run, in simulated seconds." in
+  let doc =
+    "Measurement window per run, in simulated seconds.  Table 6's jitter \
+     runs keep the paper's 10 s window."
+  in
   Arg.(value & opt int 5 & info [ "s"; "seconds" ] ~docv:"SEC" ~doc)
 
 let seed_arg =
@@ -55,8 +67,8 @@ let trace_arg =
   let doc =
     "Record a typed event trace.  $(docv) is 'all' or a comma-separated \
      subset of: packet_tx, packet_rx, packet_drop, route_update, \
-     sched_latency, fault_injected, process_lifecycle, watchdog, custom, \
-     span.  An unknown name is rejected with the valid list."
+     sched_latency, fault_injected, process_lifecycle, watchdog, custom.  \
+     An unknown name is rejected with the valid list."
   in
   Arg.(value & opt (some trace_cats_conv) None
        & info [ "trace"; "trace-categories" ] ~docv:"CATS" ~doc)
@@ -158,21 +170,28 @@ let deter_cmd =
       timeline_interval =
     let net = Deter.network_tcp ~runs ~duration_s:seconds ~seed () in
     let iias = Deter.iias_tcp ~runs ~duration_s:seconds ~seed:(seed + 1000) () in
-    Report.table ~title:"Table 2: TCP throughput on DETER"
-      ~header:[ ""; "Mb/s"; "std"; "fwdr CPU%" ]
+    let tcp_row name paper (r : Deter.tcp_result) =
+      paired name paper [ f r.Deter.mbps_mean; f r.mbps_stddev; f r.fwdr_cpu_pct ]
+    in
+    Report.table ~title:"Table 2: TCP throughput test on DETER testbed"
+      ~header:(paired_header [ "Mb/s"; "std"; "CPU%" ])
       ~rows:
         [
-          [ "Network"; f net.Deter.mbps_mean; f net.mbps_stddev; f net.fwdr_cpu_pct ];
-          [ "IIAS"; f iias.Deter.mbps_mean; f iias.mbps_stddev; f iias.fwdr_cpu_pct ];
+          tcp_row "Network" [ "940"; "0"; "48" ] net;
+          tcp_row "IIAS" [ "195"; "0.843"; "99" ] iias;
         ];
     let pn = Deter.network_ping ~seed:(seed + 2000) () in
     let pi = Deter.iias_ping ~seed:(seed + 3000) () in
-    Report.table ~title:"Table 3: flood ping on DETER (ms)"
-      ~header:[ ""; "min"; "avg"; "max"; "mdev"; "loss%" ]
+    let ping_row name paper (r : Deter.ping_result) =
+      paired name paper [ f r.Deter.p_min; f r.p_avg; f r.p_max; f r.p_mdev ]
+      @ [ f r.p_loss_pct ]
+    in
+    Report.table ~title:"Table 3: ping results on DETER (ms)"
+      ~header:(paired_header [ "min"; "avg"; "max"; "mdev" ] @ [ "ours loss%" ])
       ~rows:
         [
-          [ "Network"; f pn.Deter.p_min; f pn.p_avg; f pn.p_max; f pn.p_mdev; f pn.p_loss_pct ];
-          [ "IIAS"; f pi.Deter.p_min; f pi.p_avg; f pi.p_max; f pi.p_mdev; f pi.p_loss_pct ];
+          ping_row "Network" [ "0.193"; "0.414"; "0.593"; "0.089" ] pn;
+          ping_row "IIAS" [ "0.269"; "0.547"; "0.783"; "0.080" ] pi;
         ];
     (match (trace, metrics_out) with
     | None, None -> ()
@@ -227,47 +246,61 @@ let deter_cmd =
 
 let planetlab_cmd =
   let run runs seconds seed =
+    let open Planetlab in
+    (* (condition, Table 4 paper Mb/s/std/CPU%, Table 5 paper
+       min/avg/max/mdev, Table 6 paper mean/std) *)
     let conditions =
-      [ Planetlab.Network; Planetlab.Iias_default; Planetlab.Iias_plvini ]
+      [
+        (Network, [ "90.8"; "0.53"; "n/a" ], [ "24.4"; "24.5"; "28.2"; "0.2" ],
+         [ "0.27"; "0.16" ]);
+        (Iias_default, [ "22.5"; "4.01"; "13" ],
+         [ "24.7"; "27.7"; "80.9"; "4.8" ], [ "2.4"; "3.7" ]);
+        (Iias_plvini, [ "86.2"; "0.64"; "40" ],
+         [ "24.7"; "25.1"; "28.6"; "0.38" ], [ "1.3"; "0.9" ]);
+      ]
     in
-    Report.table ~title:"Table 4: TCP throughput on PlanetLab"
-      ~header:[ ""; "Mb/s"; "std"; "Click CPU%" ]
+    Report.table ~title:"Table 4: TCP throughput test on PlanetLab"
+      ~header:(paired_header [ "Mb/s"; "std"; "CPU%" ])
       ~rows:
         (List.map
-           (fun c ->
-             let r = Planetlab.tcp c ~runs ~duration_s:seconds ~seed () in
-             [ Planetlab.condition_name c; f r.Planetlab.mbps_mean;
-               f r.mbps_stddev;
-               (if Float.is_nan r.cpu_pct then "n/a" else f r.cpu_pct) ])
+           (fun (c, paper, _, _) ->
+             let r = tcp c ~runs ~duration_s:seconds ~seed:(seed + 4000) () in
+             paired (condition_name c) paper
+               [ f r.mbps_mean; f r.mbps_stddev;
+                 (if Float.is_nan r.cpu_pct then "n/a" else f r.cpu_pct) ])
            conditions);
-    Report.table ~title:"Table 5: flood ping on PlanetLab (ms)"
-      ~header:[ ""; "min"; "avg"; "max"; "mdev" ]
+    Report.table ~title:"Table 5: ping results on PlanetLab (ms)"
+      ~header:(paired_header [ "min"; "avg"; "max"; "mdev" ])
       ~rows:
         (List.map
-           (fun c ->
-             let p = Planetlab.ping c ~seed:(seed + 500) () in
-             [ Planetlab.condition_name c; f p.Planetlab.p_min; f p.p_avg;
-               f p.p_max; f p.p_mdev ])
+           (fun (c, _, paper, _) ->
+             let p = ping c ~seed:(seed + 5000) () in
+             paired (condition_name c) paper
+               [ f p.p_min; f p.p_avg; f p.p_max; f p.p_mdev ])
            conditions);
-    Report.table ~title:"Table 6: UDP jitter on PlanetLab (ms)"
-      ~header:[ ""; "mean"; "std" ]
+    Report.table ~title:"Table 6: jitter on PlanetLab (ms)"
+      ~header:(paired_header [ "mean"; "std" ])
       ~rows:
         (List.map
-           (fun c ->
-             let j = Planetlab.jitter c ~duration_s:seconds ~seed:(seed + 900) () in
-             [ Planetlab.condition_name c; f j.Planetlab.jitter_mean_ms;
-               f j.jitter_stddev_ms ])
+           (fun (c, _, _, paper) ->
+             let j = jitter c ~seed:(seed + 6000) () in
+             paired (condition_name c) paper
+               [ f j.jitter_mean_ms; f j.jitter_stddev_ms ])
            conditions);
-    Report.table ~title:"Figure 6: loss vs UDP rate (%)"
-      ~header:[ "Mb/s"; "Network"; "default share"; "PL-VINI" ]
+    let sweep c = loss_sweep c ~duration_s:seconds ~seed:(seed + 7000) () in
+    let net = sweep Network and dflt = sweep Iias_default
+    and plv = sweep Iias_plvini in
+    Report.table
+      ~title:
+        "Figure 6: packet loss vs UDP rate (paper: (a) default share climbs \
+         to ~14%, (b) PL-VINI stays near the network's ~0%)"
+      ~header:[ "rate Mb/s"; "Network %"; "default share %"; "PL-VINI %" ]
       ~rows:
-        (let s c = Planetlab.loss_sweep c ~duration_s:seconds ~seed:(seed + 1300) () in
-         let n = s Planetlab.Network
-         and d = s Planetlab.Iias_default
-         and p = s Planetlab.Iias_plvini in
-         List.map2
+        (List.map2
            (fun (rate, ln) ((_, ld), (_, lp)) -> [ f rate; f ln; f ld; f lp ])
-           n (List.combine d p))
+           net (List.combine dflt plv));
+    Report.series ~title:"Figure 6(a): IIAS loss, default share"
+      ~x_label:"Mb/s" ~y_label:"loss %" dflt
   in
   let doc = "Microbenchmark #2: the overlay on shared PlanetLab nodes (§5.1.2)." in
   Cmd.v (Cmd.info "planetlab" ~doc)
@@ -277,28 +310,41 @@ let planetlab_cmd =
 
 let abilene_cmd =
   let run seed fail_at restore_at =
-    let r = Abilene.fig8_run ~seed ~fail_at ~restore_at () in
-    Report.table ~title:"Figure 8: OSPF convergence seen by ping"
-      ~header:[ ""; "value" ]
+    let r = Abilene.fig8_run ~seed:(seed + 8000) ~fail_at ~restore_at () in
+    Report.table
+      ~title:
+        (Printf.sprintf
+           "Figure 8: ping D.C.->Seattle through Denver-KC failure (fail \
+            @%gs, restore @%gs)"
+           fail_at restore_at)
+      ~header:[ ""; "paper"; "ours" ]
       ~rows:
         [
-          [ "RTT before failure (ms)"; f r.Abilene.rtt_before ];
-          [ "RTT on backup path (ms)"; f r.rtt_after ];
-          [ "detection delay (s)"; f r.detect_delay ];
-          [ "RTT after restore (ms)"; f r.restore_rtt ];
+          [ "RTT before failure (ms)"; "76"; f r.Abilene.rtt_before ];
+          [ "RTT on backup path (ms)"; "93"; f r.rtt_after ];
+          [ "detection delay (s)"; "~7"; f r.detect_delay ];
+          [ "RTT after restore (ms)"; "76"; f r.restore_rtt ];
         ];
-    Report.series ~title:"RTT vs time" ~x_label:"s" ~y_label:"ms"
+    Report.series ~title:"Figure 8: RTT vs time" ~x_label:"s" ~y_label:"ms"
       r.Abilene.rtt_series;
-    let t = Abilene.fig9_run ~seed:(seed + 100) ~fail_at ~restore_at () in
-    Report.table ~title:"Figure 9: TCP through the event" ~header:[ ""; "value" ]
+    let t = Abilene.fig9_run ~seed:(seed + 8100) ~fail_at ~restore_at () in
+    Report.table
+      ~title:"Figure 9: TCP (16KB window) D.C.->Seattle through the failure"
+      ~header:[ ""; "paper"; "ours" ]
       ~rows:
         [
-          [ "total transferred (MB)"; f t.Abilene.total_mb ];
-          [ "stall starts (s)"; f t.stall_start ];
-          [ "transfer resumes (s)"; f t.stall_end ];
+          [ "total transferred (MB)"; "~12"; f t.Abilene.total_mb ];
+          [ "stall starts (s)"; "10"; f t.stall_start ];
+          [ "transfer resumes (s)"; "18"; f t.stall_end ];
         ];
-    Report.series ~title:"MB transferred vs time" ~x_label:"s" ~y_label:"MB"
-      t.Abilene.cumulative
+    Report.series ~title:"Figure 9(a): MB transferred vs time" ~x_label:"s"
+      ~y_label:"MB" t.Abilene.cumulative;
+    Report.series
+      ~title:"Figure 9(b): slow-start restart (stream position at resume)"
+      ~x_label:"s" ~y_label:"MB in stream"
+      (List.filter
+         (fun (at, _) -> at >= t.stall_end -. 0.5 && at <= t.stall_end +. 2.0)
+         t.Abilene.positions)
   in
   let fail_arg =
     Arg.(value & opt float 10.0 & info [ "fail-at" ] ~docv:"SEC"
@@ -457,27 +503,32 @@ let mirror_cmd =
 
 let ablate_cmd =
   let run seconds =
-    Report.table ~title:"Ablation A: PL-VINI scheduler knobs, decomposed"
+    let knob_rows =
+      List.map (fun (r : Ablation.knob_result) ->
+          [ r.Ablation.label; f r.mbps; f r.ping_avg_ms; f r.ping_mdev_ms ])
+    in
+    Report.table
+      ~title:
+        "Ablation A: which PL-VINI scheduler knob does the work? (Table 4/5 \
+         decomposed)"
       ~header:[ "slice treatment"; "TCP Mb/s"; "ping avg ms"; "ping mdev ms" ]
-      ~rows:
-        (List.map
-           (fun (r : Ablation.knob_result) ->
-             [ r.Ablation.label; f r.mbps; f r.ping_avg_ms; f r.ping_mdev_ms ])
-           (Ablation.scheduler_knobs ~duration_s:seconds ()));
-    Report.table ~title:"Ablation B: loss vs Click socket buffer (35 Mb/s CBR)"
+      ~rows:(knob_rows (Ablation.scheduler_knobs ~duration_s:seconds ()));
+    Report.table
+      ~title:
+        "Ablation B: Figure 6's loss is socket-buffer overflow (35 Mb/s CBR, \
+         default share)"
       ~header:[ "rcvbuf KB"; "loss %" ]
       ~rows:
         (List.map
            (fun (kb, loss) -> [ string_of_int kb; f loss ])
            (Ablation.buffer_sweep ~duration_s:seconds ()));
-    Report.table ~title:"Isolation study (§3.4): measuring vs noisy neighbour"
+    Report.table
+      ~title:
+        "Isolation study (§3.4): a measuring experiment vs a 60 Mb/s noisy \
+         neighbour on shared nodes"
       ~header:[ "isolation"; "TCP Mb/s"; "ping avg ms"; "ping mdev ms" ]
-      ~rows:
-        (List.map
-           (fun (r : Ablation.knob_result) ->
-             [ r.Ablation.label; f r.mbps; f r.ping_avg_ms; f r.ping_mdev_ms ])
-           (Ablation.isolation_matrix ()));
-    Report.table ~title:"Ablation C: detection delay vs OSPF timers"
+      ~rows:(knob_rows (Ablation.isolation_matrix ()));
+    Report.table ~title:"Ablation C: failure detection tracks the OSPF dead interval"
       ~header:[ "hello s"; "dead s"; "detection s" ]
       ~rows:
         (List.map
@@ -534,17 +585,6 @@ let run_cmd =
           (Time.to_ms_f sc.Vini_core.Experiment.tick)
     | None -> ());
     let engine = Engine.create ~seed () in
-    (* The span gate needs a sink enabling the span category *and* an
-       installed recorder; [--spans-out] supplies both, folding the span
-       category into [--trace]'s set (or a minimal sink) as needed. *)
-    let trace =
-      match (trace, spans_out) with
-      | Some cats, Some _ when not (List.mem Vini_sim.Trace.Category.Span cats)
-        ->
-          Some (Vini_sim.Trace.Category.Span :: cats)
-      | None, Some _ -> Some [ Vini_sim.Trace.Category.Span ]
-      | t, _ -> t
-    in
     let tracer =
       Option.map
         (fun categories ->
@@ -974,8 +1014,14 @@ let spans_cmd =
       if events = [] then fail "traceEvents: empty";
       List.iteri
         (fun i ev ->
-          if str "name" ev = None || str "ph" ev = None || num "ts" ev = None
-          then fail "traceEvents[%d]: missing name/ph/ts" i)
+          if str "name" ev = None || num "ts" ev = None then
+            fail "traceEvents[%d]: missing name/ts" i;
+          match str "ph" ev with
+          | Some ("X" | "i") when E.member "tid" ev = None ->
+              fail "traceEvents[%d]: no tid" i
+          | Some ("X" | "i" | "C") -> ()
+          | Some ph -> fail "traceEvents[%d]: unknown ph %S" i ph
+          | None -> fail "traceEvents[%d]: missing ph" i)
         events;
       if arr "breakdown" doc = [] then fail "breakdown: empty";
       List.iteri
@@ -1002,8 +1048,10 @@ let spans_cmd =
     Arg.(value & flag
          & info [ "check" ]
              ~doc:"Validate the document: schema tag, well-formed \
-                   traceEvents, and a non-empty path on every drop.  \
-                   Non-zero exit on failure.")
+                   traceEvents (name, ts, a phase of X, i or C, and a tid \
+                   on every X and i), a non-empty breakdown, and a \
+                   non-empty path on every drop.  Non-zero exit on \
+                   failure.")
   in
   let doc =
     "Inspect a vini.spans/1 flight-recorder export: latency-attribution \
@@ -1089,6 +1137,8 @@ let top_cmd =
       let width = List.length series in
       if List.length (arr "series") <> width then
         fail "series: non-string entries";
+      if width = 0 then fail "series: empty";
+      if samples = [] then fail "samples: empty";
       let last_t = ref neg_infinity in
       List.iteri
         (fun i s ->
@@ -1119,8 +1169,9 @@ let top_cmd =
     Arg.(value & flag
          & info [ "check" ]
              ~doc:"Validate the document: schema tag, positive interval, \
-                   rectangular samples, strictly increasing snapshot \
-                   times.  Non-zero exit on failure.")
+                   at least one series and one snapshot, rectangular \
+                   samples, strictly increasing snapshot times.  Non-zero \
+                   exit on failure.")
   in
   let doc =
     "Inspect a vini.timeline/1 self-observability export: the last \
@@ -1485,11 +1536,11 @@ let mttr_cmd =
 
 let upcalls_cmd =
   let run seed =
-    let u1, u2 = Abilene.upcall_demo ~seed () in
-    Printf.printf
-      "physical Denver-KC failed and restored; upcalls delivered: exp1=%d \
-       exp2=%d (§6.1 exposure of underlying topology changes)\n"
-      u1 u2
+    let u1, u2 = Abilene.upcall_demo ~seed:(seed + 8200) () in
+    Report.table
+      ~title:"Section 6.1: physical-failure upcalls to concurrent experiments"
+      ~header:[ "experiment"; "upcalls (fail+restore)" ]
+      ~rows:[ [ "exp1"; string_of_int u1 ]; [ "exp2"; string_of_int u2 ] ]
   in
   let doc = "Demonstrate physical-failure upcalls to concurrent experiments." in
   Cmd.v (Cmd.info "upcalls" ~doc) Term.(const run $ seed_arg)

@@ -57,7 +57,7 @@ val underlay : t -> Vini_phys.Underlay.t
 val run : ?until:Vini_sim.Time.t -> t -> unit
 (** Advance the whole deployment ({!Vini_sim.Engine.run} on the owned
     engine, one domain).  A seeded run produces byte-identical reports and
-    span exports every time, which the [determinism-gate] CI job checks
+    span exports every time, which the [exports] CI job checks
     across separate processes. *)
 
 val substrate : t -> Vini_embed.Substrate.t

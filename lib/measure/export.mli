@@ -1,8 +1,8 @@
 (** Machine-readable export of traces, series and histograms.
 
     Produces the stable [vini.metrics/1] JSON schema consumed by CI (the
-    per-PR [BENCH_METRICS.json] artifact) and by anything downstream that
-    wants artifact-grade measurements:
+    [BENCH_METRICS.json] artifact that [vini deter --metrics-out] writes)
+    and by anything downstream that wants artifact-grade measurements:
 
     {v
     { "schema": "vini.metrics/1",
@@ -155,4 +155,4 @@ val scenario_document :
     load table ({!Vini_scenario.Fluid.to_json}), and — with [?under] —
     the packet side's per-plink counters (bytes serialised, background
     drops) for fluid-vs-packet comparison.  Deterministic field and row
-    order; the CI scenario-smoke job checks its conservation totals. *)
+    order; the CI exports job checks its conservation totals. *)

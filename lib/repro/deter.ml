@@ -134,7 +134,7 @@ let iias_ping ?(count = 10_000) ?(seed = 4001) () =
   Engine.run ~until:(Time.sec 400) engine;
   ping_result_of p
 
-(* ---- The instrumented observability run (CI's BENCH_METRICS.json) ----- *)
+(* ---- The instrumented observability run (vini deter --metrics-out) ---- *)
 
 module Trace = Vini_sim.Trace
 module Monitor = Vini_measure.Monitor
@@ -200,13 +200,8 @@ module Mspan = Vini_measure.Span
    window's trees while keeping the JSON artifact CI-friendly. *)
 let spans_run ?(duration_s = 2) ?(seed = 7001) () =
   let engine, _underlay, iias = make_overlay ~seed () in
-  (* A sink enabling the [span] category plus an installed recorder opens
-     the double gate; installing both before convergence means even
+  (* Installing the recorder before convergence means even
      routing-protocol chatter gets causal trees. *)
-  let trace =
-    Trace.create ~capacity:256 ~categories:[ Trace.Category.Span ] ()
-  in
-  Trace.install trace;
   let recorder = Sspan.create ~capacity:65_536 () in
   Sspan.install recorder;
   let monitor = Monitor.create ~engine ~interval:(Time.ms 200) () in
@@ -240,7 +235,6 @@ let spans_run ?(duration_s = 2) ?(seed = 7001) () =
   let trees = Mspan.trees recorder in
   Mspan.register_breakdown monitor ~prefix:"spans" trees;
   Sspan.uninstall ();
-  Trace.uninstall ();
   let stats = Tcp.stats conn in
   let mbps =
     float_of_int stats.Tcp.bytes_acked *. 8.0

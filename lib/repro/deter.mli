@@ -36,8 +36,9 @@ val observability_run :
     categories), and a metrics registry watching the engine, the
     forwarder's Click counters, the physical CPU scheduler and the TCP
     sender.  Returns the
-    [vini.metrics/1] export document (this is what the bench writes to
-    [BENCH_METRICS.json]) and the measured throughput in Mb/s. *)
+    [vini.metrics/1] export document (what [vini deter --metrics-out]
+    writes; CI keeps it as [BENCH_METRICS.json]) and the measured
+    throughput in Mb/s. *)
 
 val spans_run :
   ?duration_s:int ->
@@ -50,7 +51,7 @@ val spans_run :
     [vini.spans/1] document (with embedded Chrome [traceEvents] and a
     nested [metrics] document) and the measured throughput in Mb/s.
     The document is byte-identical for a given seed (the
-    determinism-gate CI job runs it twice and compares). *)
+    exports CI job runs it twice and compares). *)
 
 val timeline_run :
   ?duration_s:int ->

@@ -141,7 +141,8 @@ let one_udp ~condition ~seed ~duration_s ~rate_mbps =
   Engine.run ~until:(Time.add (Time.add start duration) (Time.sec 2)) engine;
   (Iperf.udp_loss_pct run, Iperf.udp_jitter_ms run)
 
-let jitter condition ?(duration_s = 10) ?(seed = 7001) () =
+let jitter condition ?(seed = 7001) () =
+  let duration_s = 10 in
   let stats = Vini_std.Stats.create () in
   List.iteri
     (fun i rate ->

@@ -31,9 +31,10 @@ type jitter_result = { jitter_mean_ms : float; jitter_stddev_ms : float }
 val tcp : condition -> ?runs:int -> ?duration_s:int -> ?seed:int -> unit -> tcp_result
 val ping : condition -> ?count:int -> ?seed:int -> unit -> ping_result
 
-val jitter : condition -> ?duration_s:int -> ?seed:int -> unit -> jitter_result
-(** Jitter pooled across CBR rates of 1, 10, 25 and 50 Mb/s (the paper found no rate correlation
-    and reports one number per condition). *)
+val jitter : condition -> ?seed:int -> unit -> jitter_result
+(** Jitter pooled across 10-s CBR runs at 1, 10, 25 and 50 Mb/s (the
+    paper found no rate correlation and reports one number per
+    condition). *)
 
 val loss_sweep :
   condition -> ?rates_mbps:float list -> ?duration_s:int -> ?seed:int -> unit ->

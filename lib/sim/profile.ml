@@ -1,7 +1,7 @@
 (* The runtime self-profiler: per-element-class CPU attribution for the
    data plane, with collapsed call paths.
 
-   Gate discipline is the one [Trace.span_gate] established: a single
+   As with the flight recorder ([Span.on]), the gate is a single
    global [bool ref], true exactly while a profile is installed, so every
    instrumented hot path pays one load + test when profiling is off.
    Unlike [Engine.set_profiling], installing a profile never changes the

@@ -4,7 +4,7 @@
     Click element class, aggregated into collapsed root-to-leaf paths
     that load directly into a flamegraph.
 
-    {b Gate discipline.}  Exactly like [Trace.span_gate]: {!gate} is a
+    {b Gate discipline.}  As with [Span.on], {!gate} is a
     single global [bool ref], true iff a profile is {!install}ed.  Every
     instrumented hot path performs one load and test when profiling is
     off — nothing else.  Installing a profile never schedules events,

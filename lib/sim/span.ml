@@ -5,7 +5,7 @@
    tree-shaped (causal reassembly, latency attribution, drop forensics)
    happens offline in [Vini_measure.Span].  Keeping this half flat and
    append-only is what makes the enabled path one ring write and the
-   disabled path one load of [Trace.span_gate]. *)
+   disabled path one load of the installed-recorder ref. *)
 
 type attribution =
   | Queueing
@@ -85,15 +85,9 @@ let create ?(capacity = default_capacity) () =
 
 let recorder_ref : t option ref = ref None
 
-let install t =
-  recorder_ref := Some t;
-  Trace.set_span_recorder true
-
-let uninstall () =
-  recorder_ref := None;
-  Trace.set_span_recorder false
-
-let on () = !Trace.span_gate
+let install t = recorder_ref := Some t
+let uninstall () = recorder_ref := None
+let on () = match !recorder_ref with Some _ -> true | None -> false
 
 let push t r =
   if t.len = t.capacity then begin

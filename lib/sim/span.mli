@@ -25,12 +25,11 @@
 
     {2 Overhead discipline}
 
-    Recording is double-gated: a recorder must be {!install}ed {e and}
-    the installed {!Trace} sink must enable [Trace.Category.Span].  The
-    combined test {!on} is a single load of a mirrored bool
-    ([Trace.span_gate]), so instrumentation can sit directly on the
-    packet hot path; the PR-3 perf suite gates the disabled-path cost at
-    ≤ 2% on the §5.1.1 end-to-end replay.  The ring never grows: once
+    Recording is on exactly while a recorder is {!install}ed.  The test
+    {!on} is a single load of the installed-recorder ref, so
+    instrumentation can sit directly on the packet hot path; the perf
+    suite gates the disabled-path cost at ≤ 2% on the §5.1.1 end-to-end
+    replay.  The ring never grows: once
     full, the oldest records are overwritten (counted in
     {!overwritten}).  A packet's lifetime is tiny compared to the ring's
     span, so a drop's path-so-far survives wraparound in practice. *)
@@ -93,14 +92,13 @@ val create : ?capacity:int -> unit -> t
     installed recorder so packet-rate code needs no handle. *)
 
 val install : t -> unit
-(** Install [t] as the global recorder and flip the gate (subject to the
-    trace sink enabling [Trace.Category.Span]). *)
+(** Install [t] as the global recorder, which turns recording on. *)
 
 val uninstall : unit -> unit
 
 val on : unit -> bool
-(** One load: [true] iff a recorder is installed and the installed trace
-    sink enables the span category.  Guard every emission with it. *)
+(** One load: [true] iff a recorder is installed.  Guard every emission
+    with it. *)
 
 (** {2 Emitters}
 

@@ -16,12 +16,11 @@ module Category = struct
     | Fault_injected
     | Process_lifecycle
     | Watchdog
-    | Span
     | Custom
 
   let all =
     [ Packet_tx; Packet_rx; Packet_drop; Route_update; Sched_latency;
-      Fault_injected; Process_lifecycle; Watchdog; Span; Custom ]
+      Fault_injected; Process_lifecycle; Watchdog; Custom ]
 
   let bit = function
     | Packet_tx -> 1
@@ -33,7 +32,6 @@ module Category = struct
     | Custom -> 64
     | Process_lifecycle -> 128
     | Watchdog -> 256
-    | Span -> 512
 
   let name = function
     | Packet_tx -> "packet_tx"
@@ -44,7 +42,6 @@ module Category = struct
     | Fault_injected -> "fault_injected"
     | Process_lifecycle -> "process_lifecycle"
     | Watchdog -> "watchdog"
-    | Span -> "span"
     | Custom -> "custom"
 
   let of_name = function
@@ -56,7 +53,6 @@ module Category = struct
     | "fault_injected" -> Some Fault_injected
     | "process_lifecycle" -> Some Process_lifecycle
     | "watchdog" -> Some Watchdog
-    | "span" -> Some Span
     | "custom" -> Some Custom
     | _ -> None
 
@@ -135,27 +131,8 @@ let sink_ref : t option ref = ref None
    hot-path check [on cat] is one load + land + compare. *)
 let global_mask = ref 0
 
-(* The flight-recorder gate.  [Vini_sim.Span] owns its own ring (it layers
-   on top of this module), but the hot-path test lives here so it can fold
-   in the sink's category mask: span records flow iff a span recorder is
-   installed AND the installed trace sink enables [Category.Span].  Both
-   sides funnel through [refresh_span_gate], so [Span.on] stays a single
-   load of an immediate bool — the disabled cost the packet path pays. *)
-let span_recorder_installed = ref false
-let span_gate = ref false
-
-let refresh_span_gate () =
-  span_gate :=
-    !span_recorder_installed
-    && !global_mask land Category.bit Category.Span <> 0
-
 let refresh_global_mask () =
-  global_mask := (match !sink_ref with None -> 0 | Some t -> t.mask);
-  refresh_span_gate ()
-
-let set_span_recorder installed =
-  span_recorder_installed := installed;
-  refresh_span_gate ()
+  global_mask := (match !sink_ref with None -> 0 | Some t -> t.mask)
 
 let install t =
   sink_ref := Some t;

@@ -27,7 +27,6 @@ module Category : sig
     | Fault_injected
     | Process_lifecycle
     | Watchdog
-    | Span  (** per-packet flight-recorder records ({!Vini_sim.Span}) *)
     | Custom
 
   val all : t list
@@ -112,20 +111,3 @@ val set_clock : (unit -> Time.t) -> unit
 val now : unit -> Time.t
 (** The registered simulation clock's current time ([Time.zero] before any
     engine exists).  Span instrumentation stamps records with it. *)
-
-(** {2 Span-recorder gate (used by [Vini_sim.Span])}
-
-    The flight recorder's ring lives in [Vini_sim.Span], but its hot-path
-    gate is kept here so it can combine with the sink's category mask:
-    spans are live iff a recorder is installed {e and} the installed sink
-    enables {!Category.Span}. *)
-
-val span_gate : bool ref
-(** [true] iff span records should be recorded.  Read via [Span.on];
-    never write it directly — it is recomputed by {!install},
-    {!uninstall}, {!enable}, {!disable} and
-    {!set_span_recorder}. *)
-
-val set_span_recorder : bool -> unit
-(** Called by [Span.install] / [Span.uninstall] to declare whether a span
-    ring is present. *)

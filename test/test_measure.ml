@@ -327,14 +327,11 @@ let test_export_deep_nesting () =
 
 module Sspan = Vini_sim.Span
 module Mspan = Vini_measure.Span
-module Trace = Vini_sim.Trace
 
 (* Two hand-built causal trees: pkt 100 delivered through an encap (inner
    pkt 100, outer pkt 101, same orig), pkt 200 killed by TTL. *)
 let synthetic_recorder () =
   let engine = Engine.create () in
-  let tr = Trace.create ~categories:[ Trace.Category.Span ] () in
-  Trace.install tr;
   let r = Sspan.create ~capacity:64 () in
   Sspan.install r;
   ignore
@@ -353,7 +350,6 @@ let synthetic_recorder () =
            ~reason:"ttl-expired" ~bytes:64 ()));
   Engine.run engine;
   Sspan.uninstall ();
-  Trace.uninstall ();
   r
 
 let test_span_trees_and_breakdown () =

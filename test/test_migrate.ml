@@ -18,7 +18,6 @@ module Request = Vini_embed.Request
 module Migration = Vini_repro.Migration
 module Ping = Vini_measure.Ping
 module Watchdog = Vini_measure.Watchdog
-module Trace = Vini_sim.Trace
 module Sspan = Vini_sim.Span
 module Mspan = Vini_measure.Span
 module Tcp = Vini_transport.Tcp
@@ -90,8 +89,6 @@ let test_zero_loss_cutover_forensics () =
   Engine.run ~until:(Time.sec 32) engine;
   (* Record spans only across the cutover window, so every Drop in the
      ring is attributable to it. *)
-  let trace = Trace.create ~categories:[ Trace.Category.Span ] () in
-  Trace.install trace;
   let recorder = Sspan.create ~capacity:65_536 () in
   Sspan.install recorder;
   (match Vini.migrate ~target:spare inst ~vnode:0 with
@@ -101,7 +98,6 @@ let test_zero_loss_cutover_forensics () =
   check Alcotest.int "one move in flight" 1 (Vini.pending_migrations inst);
   Engine.run ~until:(Time.sec 36) engine;
   Sspan.uninstall ();
-  Trace.uninstall ();
   check Alcotest.int "move settled" 0 (Vini.pending_migrations inst);
   check Alcotest.int "moved to the target" spare (Iias.current_pnode iias 0);
   (match Vini.migrations inst with

@@ -74,12 +74,9 @@ let test_flight_recorder_across_overlay () =
      TTL-doomed packet. *)
   let module Sspan = Vini_sim.Span in
   let module Mspan = Vini_measure.Span in
-  let module Trace = Vini_sim.Trace in
   let module Packet = Vini_net.Packet in
   let engine, iias = make_chain () in
   converge engine;
-  let tr = Trace.create ~categories:[ Trace.Category.Span ] () in
-  Trace.install tr;
   let r = Sspan.create ~capacity:65_536 () in
   Sspan.install r;
   let v0 = Iias.vnode iias 0 and v2 = Iias.vnode iias 2 in
@@ -94,7 +91,6 @@ let test_flight_recorder_across_overlay () =
               (Packet.Probe { Packet.flow = 1; seq = 0; sent_ns = 0; pad = 8 }))));
   Engine.run ~until:(Time.sec 30) engine;
   Sspan.uninstall ();
-  Trace.uninstall ();
   check Alcotest.int "pings still delivered while recording" 20
     (Ping.received ping);
   let trees = Mspan.trees r in

@@ -271,7 +271,6 @@ module Process = Vini_phys.Process
 module Slice = Vini_phys.Slice
 module Sspan = Vini_sim.Span
 module Mspan = Vini_measure.Span
-module Trace = Vini_sim.Trace
 
 (* With [burst > 1] and spans on, each packet's Cpu_service span covers
    its own cost-proportional slice of the breath: positive width,
@@ -283,10 +282,6 @@ let test_burst_span_per_hop_tiling () =
   in
   let u = Underlay.create ~engine ~rng:(Vini_std.Rng.create 5) ~graph:g () in
   let n0 = Underlay.node u 0 in
-  let trace =
-    Trace.create ~capacity:64 ~categories:[ Trace.Category.Span ] ()
-  in
-  Trace.install trace;
   let recorder = Sspan.create ~capacity:4096 () in
   Sspan.install recorder;
   let proc =
@@ -301,7 +296,6 @@ let test_burst_span_per_hop_tiling () =
   done;
   Engine.run engine;
   Sspan.uninstall ();
-  Trace.uninstall ();
   check Alcotest.int "all packets served" 8 (Process.packets_processed proc);
   check Alcotest.int "one breath" 1 (Process.breaths proc);
   let services =

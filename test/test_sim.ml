@@ -368,24 +368,27 @@ let span_cleanup () =
   Span.uninstall ();
   Trace.uninstall ()
 
-let test_span_double_gate () =
+(* Recording follows the installed recorder alone: a trace sink, with or
+   without categories enabled, neither opens nor closes it. *)
+let test_span_gate_follows_recorder () =
   span_cleanup ();
   check Alcotest.bool "nothing installed: off" false (Span.on ());
   let r = Span.create ~capacity:8 () in
   Span.install r;
-  check Alcotest.bool "recorder alone: still off" false (Span.on ());
-  let tr = Trace.create ~categories:[ Trace.Category.Custom ] () in
-  Trace.install tr;
-  check Alcotest.bool "sink without span category: off" false (Span.on ());
-  Trace.enable tr Trace.Category.Span;
-  check Alcotest.bool "both halves open: on" true (Span.on ());
+  check Alcotest.bool "recorder, no sink: on" true (Span.on ());
   Span.instant ~pkt:1 ~orig:1 ~component:"x" Span.Proto_processing;
-  check Alcotest.int "recorded" 1 (Span.length r);
-  Trace.disable tr Trace.Category.Span;
-  check Alcotest.bool "category disabled: off" false (Span.on ());
-  Trace.enable tr Trace.Category.Span;
+  check Alcotest.int "recorded without a sink" 1 (Span.length r);
+  let tr = Trace.create ~categories:[] () in
+  Trace.install tr;
+  check Alcotest.bool "sink with no categories: still on" true (Span.on ());
+  Span.instant ~pkt:2 ~orig:2 ~component:"x" Span.Proto_processing;
+  check Alcotest.int "recorded beside a sink" 2 (Span.length r);
   Span.uninstall ();
-  check Alcotest.bool "recorder removed: off" false (Span.on ());
+  check Alcotest.bool "recorder removed, sink kept: off" false (Span.on ());
+  Trace.enable tr Trace.Category.Custom;
+  check Alcotest.bool "sink category toggled: still off" false (Span.on ());
+  Span.instant ~pkt:3 ~orig:3 ~component:"x" Span.Proto_processing;
+  check Alcotest.int "nothing recorded once removed" 2 (Span.length r);
   Trace.uninstall ();
   check Alcotest.bool "all removed: off" false (Span.on ())
 
@@ -393,8 +396,6 @@ let test_span_ring_bounded () =
   span_cleanup ();
   let r = Span.create ~capacity:4 () in
   Span.install r;
-  let tr = Trace.create ~categories:[ Trace.Category.Span ] () in
-  Trace.install tr;
   for i = 1 to 10 do
     Span.instant ~pkt:i ~orig:i ~component:"ring" Span.Proto_processing
   done;
@@ -415,8 +416,6 @@ let test_span_queue_helpers () =
   let e = Engine.create () in
   let r = Span.create ~capacity:16 () in
   Span.install r;
-  let tr = Trace.create ~categories:[ Trace.Category.Span ] () in
-  Trace.install tr;
   ignore (Engine.at e (Time.ms 1) (fun () -> Span.note_enqueue ~pkt:7));
   ignore
     (Engine.at e (Time.ms 3) (fun () ->
@@ -486,7 +485,8 @@ let suite =
       test_engine_inline_schedule_neutral;
     Alcotest.test_case "engine instrumentation" `Quick
       test_engine_instrumentation;
-    Alcotest.test_case "span double gate" `Quick test_span_double_gate;
+    Alcotest.test_case "span gate follows the recorder" `Quick
+      test_span_gate_follows_recorder;
     Alcotest.test_case "span ring bounded" `Quick test_span_ring_bounded;
     Alcotest.test_case "span queue helpers" `Quick test_span_queue_helpers;
     Alcotest.test_case "span disabled is inert" `Quick

@@ -601,12 +601,12 @@ let run_cmd =
           r)
         spans_out
     in
-    let monitor =
+    let metrics =
       Option.map
         (fun _ ->
           Engine.set_profiling engine true;
-          let m = Vini_measure.Monitor.create ~engine () in
-          Vini_measure.Monitor.watch_engine m engine;
+          let m = Vini_measure.Timeline.create ~engine () in
+          Vini_measure.Timeline.watch_engine m engine;
           m)
         metrics_out
     in
@@ -683,11 +683,11 @@ let run_cmd =
     in
     Option.iter
       (fun m ->
-        Vini_measure.Monitor.counter m ~name:"ping.sent" (fun () ->
+        Vini_measure.Timeline.counter m ~name:"ping.sent" (fun () ->
             float_of_int (Vini_measure.Ping.sent ping));
-        Vini_measure.Monitor.counter m ~name:"ping.received" (fun () ->
+        Vini_measure.Timeline.counter m ~name:"ping.received" (fun () ->
             float_of_int (Vini_measure.Ping.received ping)))
-      monitor;
+      metrics;
     Vini_core.Vini.run ~until:(Time.sec (duration + 10)) vini;
     Report.series
       ~title:
@@ -707,13 +707,8 @@ let run_cmd =
         (* With [--timeline-out] alongside, the spans document also
            carries the profiler's element attribution and one Perfetto
            counter track per timeline series. *)
-        let counters =
-          match timeline with
-          | Some tl -> Vini_measure.Timeline.counter_series tl
-          | None -> []
-        in
         Vini_measure.Export.write ~path
-          (Vini_measure.Export.spans_document ?profile ~counters r);
+          (Vini_measure.Export.spans_document ?profile ?timeline r);
         Printf.printf "spans written to %s (%d records, %d overwritten)\n"
           path (Vini_sim.Span.length r) (Vini_sim.Span.overwritten r))
       spans_out;
@@ -725,10 +720,10 @@ let run_cmd =
       tracer;
     Option.iter
       (fun path ->
-        let m = Option.get monitor in
-        Vini_measure.Monitor.stop m;
+        let m = Option.get metrics in
+        Vini_measure.Timeline.stop m;
         Vini_measure.Export.write ~path
-          (Vini_measure.Export.document ?trace:tracer [ m ]);
+          (Vini_measure.Export.document ?trace:tracer m);
         Printf.printf "metrics written to %s\n" path)
       metrics_out;
     Option.iter

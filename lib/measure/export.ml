@@ -26,17 +26,19 @@ let to_str = Vini_std.Json.to_str
 
 let points_json pts = Arr (List.map (fun (t, v) -> Arr [ Num t; Num v ]) pts)
 
-let series_json m =
+let series_json sampler =
   Arr
     (List.map
-       (fun name ->
+       (fun (name, kind, pts) ->
          Obj
            [
              ("name", Str name);
-             ("kind", Str (Monitor.series_kind_name (Monitor.kind m ~name)));
-             ("points", points_json (Monitor.series m ~name));
+             ( "kind",
+               Str (match kind with Timeline.Gauge -> "gauge" | Counter -> "counter")
+             );
+             ("points", points_json pts);
            ])
-       (Monitor.names m))
+       (Timeline.series sampler))
 
 let histogram_json ~name h =
   Obj
@@ -57,8 +59,11 @@ let histogram_json ~name h =
              (Histogram.buckets h)) );
     ]
 
-let histograms_json m =
-  Arr (List.map (fun (name, h) -> histogram_json ~name h) (Monitor.histograms m))
+let histograms_json sampler =
+  Arr
+    (List.map
+       (fun (name, h) -> histogram_json ~name h)
+       (Timeline.histograms sampler))
 
 let event_json (ev : Trace.event) =
   let fields =
@@ -103,18 +108,13 @@ let trace_json tr =
       ("events", Arr (List.map event_json events));
     ]
 
-let document ?trace ?(extra = []) monitors =
-  let series =
-    Arr (List.concat_map (fun m -> Option.value ~default:[] (to_list (series_json m))) monitors)
-  in
-  let hists =
-    Arr
-      (List.concat_map
-         (fun m -> Option.value ~default:[] (to_list (histograms_json m)))
-         monitors)
-  in
+let document ?trace ?(extra = []) sampler =
   Obj
-    ([ ("schema", Str schema_version); ("series", series); ("histograms", hists) ]
+    ([
+       ("schema", Str schema_version);
+       ("series", series_json sampler);
+       ("histograms", histograms_json sampler);
+     ]
     @ (match trace with None -> [] | Some tr -> [ ("trace", trace_json tr) ])
     @ extra)
 
@@ -277,9 +277,9 @@ let span_tree_json (tr : Span.tree) =
 (* Perfetto counter tracks: each timeline series becomes a "C" event per
    sample, so pool occupancy, ring depth and engine backlog plot as
    graphs alongside the packet spans. *)
-let counter_trace_events counters =
+let counter_trace_events timeline =
   List.concat_map
-    (fun (name, points) ->
+    (fun (name, _, points) ->
       List.map
         (fun (t_s, v) ->
           Obj
@@ -291,7 +291,7 @@ let counter_trace_events counters =
               ("args", Obj [ ("value", Num v) ]);
             ])
         points)
-    counters
+    (Timeline.series timeline)
 
 (* The profiler's element attribution: a per-class summary plus the
    collapsed stacks — each a root-to-leaf element path with its
@@ -320,7 +320,7 @@ let profile_sections p =
            (Profile.collapsed p)) );
   ]
 
-let spans_document ?(worst = 5) ?profile ?(counters = []) ?(extra = [])
+let spans_document ?(worst = 5) ?profile ?timeline ?(extra = [])
     recorder =
   let trees = Span.trees recorder in
   Obj
@@ -337,7 +337,9 @@ let spans_document ?(worst = 5) ?profile ?(counters = []) ?(extra = [])
                Num (float_of_int (Vini_sim.Span.overwritten recorder)) );
            ] );
        ( "traceEvents",
-         Arr (span_trace_events trees @ counter_trace_events counters) );
+         Arr
+           (span_trace_events trees
+           @ Option.fold ~none:[] ~some:counter_trace_events timeline) );
        ("breakdown", Arr (List.map span_row_json (Span.breakdown trees)));
        ( "breakdown_by_origin",
          Arr

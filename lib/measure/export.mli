@@ -20,7 +20,7 @@
     repository has no JSON dependency), so exports round-trip in-process
     for tests. *)
 
-type json =
+type json = Vini_std.Json.t =
   | Null
   | Bool of bool
   | Num of float
@@ -42,17 +42,16 @@ val to_str : json -> string option
 val schema_version : string
 
 val document :
-  ?trace:Vini_sim.Trace.t -> ?extra:(string * json) list -> Monitor.t list -> json
-(** The full schema above: every monitor's series and histograms
-    concatenated, plus the trace when given and any [extra] top-level
-    fields. *)
+  ?trace:Vini_sim.Trace.t -> ?extra:(string * json) list -> Timeline.t -> json
+(** The full schema above: the sampler's series and histograms, plus the
+    trace when given and any [extra] top-level fields. *)
 
 val spans_schema_version : string
 
 val spans_document :
   ?worst:int ->
   ?profile:Vini_sim.Profile.t ->
-  ?counters:(string * (float * float) list) list ->
+  ?timeline:Timeline.t ->
   ?extra:(string * json) list ->
   Vini_sim.Span.t ->
   json
@@ -62,8 +61,8 @@ val spans_document :
     [profile] appends the runtime profiler's element attribution: an
     ["element_profile"] array (class, packets, self_s, total_s) and a
     ["collapsed"] array of flamegraph-loadable ["a;b;c µs"] stack lines.
-    [counters] (typically {!Timeline.counter_series}) adds one Perfetto
-    counter track per series as ["C"] trace events.  Both default to
+    [timeline] adds one Perfetto counter track per sampler series as
+    ["C"] trace events.  Both default to
     absent, leaving the document unchanged:
 
     {v

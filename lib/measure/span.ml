@@ -222,19 +222,3 @@ let worst ?(n = 5) ts =
       ts
   in
   List.filteri (fun i _ -> i < n) ranked
-
-(* -- feeding the metrics registry ----------------------------------------- *)
-
-let watch m ~prefix recorder =
-  Monitor.counter m ~name:(prefix ^ ".records") (fun () ->
-      float_of_int (Sim.length recorder + Sim.overwritten recorder));
-  Monitor.counter m ~name:(prefix ^ ".overwritten") (fun () ->
-      float_of_int (Sim.overwritten recorder))
-
-let register_breakdown m ~prefix ts =
-  List.iter
-    (fun r ->
-      Monitor.histogram m
-        ~name:(prefix ^ "." ^ Sim.attribution_name r.attribution ^ "_s")
-        r.hist)
-    (breakdown ts)

@@ -108,13 +108,3 @@ val forensics : tree list -> forensic list
 
 val worst : ?n:int -> tree list -> tree list
 (** The [n] (default 5) trees with the highest {!total_latency}. *)
-
-(** {1 Metrics registry} *)
-
-val watch : Monitor.t -> prefix:string -> Vini_sim.Span.t -> unit
-(** Register recorder health counters ([<prefix>.records],
-    [<prefix>.overwritten]) with a monitor. *)
-
-val register_breakdown : Monitor.t -> prefix:string -> tree list -> unit
-(** Register one duration histogram per attribution category
-    ([<prefix>.<attribution>_s]) with a monitor. *)

@@ -1,38 +1,35 @@
 module Time = Vini_sim.Time
 module Engine = Vini_sim.Engine
 module Profile = Vini_sim.Profile
+module Histogram = Vini_std.Histogram
+module Json = Vini_std.Json
 
 let schema_version = "vini.timeline/1"
 
-type source = { s_name : string; s_read : unit -> float }
+type kind = Gauge | Counter
+
+type source = { s_name : string; s_kind : kind; s_read : unit -> float }
 
 type t = {
   engine : Engine.t;
   interval : Time.t;
-  mutable sources_rev : source list; (* registration order, reversed *)
-  mutable frozen : source array; (* fixed at the first snapshot *)
-  mutable is_frozen : bool;
+  mutable sources : source array; (* registration order *)
+  mutable hists : (string * Histogram.t) list;
+  (* One row per snapshot, newest first, as wide as [sources] was then. *)
   mutable rows_rev : (float * float array) list;
   mutable nsamples : int;
   mutable running : bool;
 }
 
-let freeze t =
-  if not t.is_frozen then begin
-    t.frozen <- Array.of_list (List.rev t.sources_rev);
-    t.is_frozen <- true
-  end
-
 (* One snapshot: read every source into a fresh row.  This is the only
    place the sampler allocates (one float array plus a list cell per
-   snapshot) — between boundaries the timeline touches nothing, which
-   the Gc.minor_words test asserts. *)
+   snapshot) — between boundaries it touches nothing, which the
+   Gc.minor_words test asserts. *)
 let sample_now t =
-  freeze t;
-  let n = Array.length t.frozen in
+  let n = Array.length t.sources in
   let row = Array.make n 0.0 in
   for i = 0 to n - 1 do
-    row.(i) <- (Array.unsafe_get t.frozen i).s_read ()
+    row.(i) <- (Array.unsafe_get t.sources i).s_read ()
   done;
   t.rows_rev <- (Time.to_sec_f (Engine.now t.engine), row) :: t.rows_rev;
   t.nsamples <- t.nsamples + 1
@@ -55,9 +52,8 @@ let create ~engine ?(interval = Time.sec 1) () =
     {
       engine;
       interval;
-      sources_rev = [];
-      frozen = [||];
-      is_frozen = false;
+      sources = [||];
+      hists = [];
       rows_rev = [];
       nsamples = 0;
       running = true;
@@ -68,68 +64,78 @@ let create ~engine ?(interval = Time.sec 1) () =
 
 let stop t = t.running <- false
 
-let register t ~name read =
-  if t.is_frozen then
-    invalid_arg "Timeline.register: sampling already started";
-  if List.exists (fun s -> s.s_name = name) t.sources_rev then
-    invalid_arg ("Timeline.register: duplicate series " ^ name);
-  t.sources_rev <- { s_name = name; s_read = read } :: t.sources_rev
+let register t ~name ~kind read =
+  if Array.exists (fun s -> s.s_name = name) t.sources then
+    invalid_arg ("Timeline: duplicate series " ^ name);
+  t.sources <-
+    Array.append t.sources [| { s_name = name; s_kind = kind; s_read = read } |]
+
+let gauge t ~name read = register t ~name ~kind:Gauge read
+let counter t ~name read = register t ~name ~kind:Counter read
+
+let histogram t ~name h =
+  if List.mem_assoc name t.hists then
+    invalid_arg ("Timeline: duplicate histogram " ^ name);
+  t.hists <- t.hists @ [ (name, h) ]
 
 (* ---- prewired sources (deterministic quantities only; host-clock data
-   like callback times must stay out — see DESIGN.md §16) -------------- *)
+   like callback times stays in the histogram registry — see DESIGN.md
+   §16) ------------------------------------------------------------------- *)
 
 let watch_engine t engine =
-  register t ~name:"engine.fired" (fun () ->
+  counter t ~name:"engine.fired" (fun () ->
       float_of_int (Engine.events_fired engine));
-  register t ~name:"engine.inlined" (fun () ->
+  counter t ~name:"engine.inlined" (fun () ->
       float_of_int (Engine.events_inlined engine));
-  register t ~name:"engine.cancelled" (fun () ->
+  counter t ~name:"engine.cancelled" (fun () ->
       float_of_int (Engine.events_cancelled engine));
-  register t ~name:"engine.pending" (fun () ->
+  gauge t ~name:"engine.pending" (fun () ->
       float_of_int (Engine.pending engine));
-  register t ~name:"engine.max_pending" (fun () ->
-      float_of_int (Engine.max_pending engine))
+  gauge t ~name:"engine.max_pending" (fun () ->
+      float_of_int (Engine.max_pending engine));
+  histogram t ~name:"engine.horizon_s" (Engine.horizon_hist engine);
+  histogram t ~name:"engine.callback_s" (Engine.callback_hist engine)
 
 let watch_profile t p =
-  register t ~name:"profile.element_packets" (fun () ->
+  counter t ~name:"profile.element_packets" (fun () ->
       float_of_int (Profile.element_packets_total p));
-  register t ~name:"profile.element_cost_s" (fun () ->
+  counter t ~name:"profile.element_cost_s" (fun () ->
       Profile.attributed_cost_s p)
 
 let watch_pool t ~prefix pool =
   let open Vini_net in
-  register t ~name:(prefix ^ ".available") (fun () ->
+  gauge t ~name:(prefix ^ ".available") (fun () ->
       float_of_int (Pool.available pool));
-  register t ~name:(prefix ^ ".low_watermark") (fun () ->
+  gauge t ~name:(prefix ^ ".low_watermark") (fun () ->
       float_of_int (Pool.low_watermark pool));
-  register t ~name:(prefix ^ ".takes") (fun () ->
+  counter t ~name:(prefix ^ ".takes") (fun () ->
       float_of_int (Pool.takes pool));
-  register t ~name:(prefix ^ ".exhaustions") (fun () ->
+  counter t ~name:(prefix ^ ".exhaustions") (fun () ->
       float_of_int (Pool.exhaustions pool))
 
 let watch_ring t ~prefix ring =
   let open Vini_click in
-  register t ~name:(prefix ^ ".length") (fun () ->
+  gauge t ~name:(prefix ^ ".length") (fun () ->
       float_of_int (Ring.length ring));
-  register t ~name:(prefix ^ ".depth_hwm") (fun () ->
+  gauge t ~name:(prefix ^ ".depth_hwm") (fun () ->
       float_of_int (Ring.depth_hwm ring));
-  register t ~name:(prefix ^ ".pushes") (fun () ->
+  counter t ~name:(prefix ^ ".pushes") (fun () ->
       float_of_int (Ring.pushes ring));
-  register t ~name:(prefix ^ ".rejected") (fun () ->
+  counter t ~name:(prefix ^ ".rejected") (fun () ->
       float_of_int (Ring.rejected ring))
 
 let watch_process t ~prefix p =
   let open Vini_phys in
-  register t ~name:(prefix ^ ".packets") (fun () ->
+  counter t ~name:(prefix ^ ".packets") (fun () ->
       float_of_int (Process.packets_processed p));
-  register t ~name:(prefix ^ ".breaths") (fun () ->
+  counter t ~name:(prefix ^ ".breaths") (fun () ->
       float_of_int (Process.breaths p));
-  register t ~name:(prefix ^ ".breath_utilization") (fun () ->
+  gauge t ~name:(prefix ^ ".breath_utilization") (fun () ->
       let b = Process.breaths p and burst = Process.burst p in
       if b = 0 then 0.0
       else
         float_of_int (Process.packets_processed p) /. float_of_int (b * burst));
-  register t ~name:(prefix ^ ".cpu_s") (fun () ->
+  counter t ~name:(prefix ^ ".cpu_s") (fun () ->
       Time.to_sec_f (Process.cpu_time p))
 
 let watch_overlay t iias =
@@ -141,53 +147,106 @@ let watch_overlay t iias =
     done;
     float_of_int !acc
   in
-  register t ~name:"overlay.forwarded" (fun () ->
+  counter t ~name:"overlay.forwarded" (fun () ->
       sum (fun vn -> (Iias.stats vn).Iias.forwarded));
-  register t ~name:"overlay.delivered" (fun () ->
+  counter t ~name:"overlay.delivered" (fun () ->
       sum (fun vn -> (Iias.stats vn).Iias.delivered));
-  register t ~name:"overlay.no_route" (fun () ->
+  counter t ~name:"overlay.no_route" (fun () ->
       sum (fun vn -> (Iias.stats vn).Iias.no_route));
-  register t ~name:"overlay.fib_memo_hits" (fun () ->
+  counter t ~name:"overlay.fib_memo_hits" (fun () ->
       sum (fun vn -> fst (Iias.fib_memo_stats vn)));
-  register t ~name:"overlay.fib_memo_lookups" (fun () ->
+  counter t ~name:"overlay.fib_memo_lookups" (fun () ->
       sum (fun vn -> snd (Iias.fib_memo_stats vn)));
-  register t ~name:"overlay.breaths" (fun () ->
+  counter t ~name:"overlay.breaths" (fun () ->
       sum (fun vn -> Vini_phys.Process.breaths (Iias.process vn)))
+
+let watch_vnode t vn ~prefix =
+  let open Vini_overlay in
+  counter t ~name:(prefix ^ ".cpu_s") (fun () ->
+      Time.to_sec_f (Iias.cpu_time vn));
+  counter t ~name:(prefix ^ ".forwarded") (fun () ->
+      float_of_int (Iias.stats vn).Iias.forwarded);
+  counter t ~name:(prefix ^ ".delivered") (fun () ->
+      float_of_int (Iias.stats vn).Iias.delivered);
+  counter t ~name:(prefix ^ ".sock_drops") (fun () ->
+      float_of_int (Iias.socket_drops vn));
+  counter t ~name:(prefix ^ ".fib_cache_hits") (fun () ->
+      float_of_int (fst (Iias.fib_cache_stats vn)));
+  counter t ~name:(prefix ^ ".fib_cache_misses") (fun () ->
+      float_of_int (snd (Iias.fib_cache_stats vn)));
+  counter t ~name:(prefix ^ ".fib_memo_hits") (fun () ->
+      float_of_int (fst (Iias.fib_memo_stats vn)));
+  counter t ~name:(prefix ^ ".fib_memo_lookups") (fun () ->
+      float_of_int (snd (Iias.fib_memo_stats vn)));
+  counter t ~name:(prefix ^ ".breaths") (fun () ->
+      float_of_int (Vini_phys.Process.breaths (Iias.process vn)))
+
+let watch_cpu t ~prefix cpu =
+  histogram t ~name:(prefix ^ ".wake_s") (Vini_phys.Cpu.wake_latency_hist cpu)
+
+let watch_tcp t ~prefix conn =
+  let module Tcp = Vini_transport.Tcp in
+  counter t ~name:(prefix ^ ".retransmits") (fun () ->
+      float_of_int (Tcp.stats conn).Tcp.retransmits);
+  counter t ~name:(prefix ^ ".bytes_acked") (fun () ->
+      float_of_int (Tcp.stats conn).Tcp.bytes_acked);
+  histogram t ~name:(prefix ^ ".cwnd_bytes") (Tcp.cwnd_hist conn)
+
+let watch_recorder t ~prefix recorder =
+  let module Sspan = Vini_sim.Span in
+  counter t ~name:(prefix ^ ".records") (fun () ->
+      float_of_int (Sspan.length recorder + Sspan.overwritten recorder));
+  counter t ~name:(prefix ^ ".overwritten") (fun () ->
+      float_of_int (Sspan.overwritten recorder))
+
+let register_breakdown t ~prefix trees =
+  List.iter
+    (fun (r : Span.row) ->
+      histogram t
+        ~name:
+          (prefix ^ "." ^ Vini_sim.Span.attribution_name r.Span.attribution
+         ^ "_s")
+        r.Span.hist)
+    (Span.breakdown trees)
 
 (* ---- read side --------------------------------------------------------- *)
 
 let nsamples t = t.nsamples
 
-let samples t =
-  freeze t;
-  List.rev_map (fun (ts, row) -> (ts, Array.copy row)) t.rows_rev
-
-let counter_series t =
-  freeze t;
+let series t =
   Array.to_list
     (Array.mapi
        (fun i s ->
-         (s.s_name, List.rev_map (fun (ts, row) -> (ts, row.(i))) t.rows_rev))
-       t.frozen)
+         ( s.s_name,
+           s.s_kind,
+           List.fold_left
+             (fun pts (ts, row) ->
+               if i < Array.length row then (ts, row.(i)) :: pts else pts)
+             [] t.rows_rev ))
+       t.sources)
+
+let histograms t = t.hists
 
 let document ?(extra = []) t =
-  freeze t;
-  let series =
-    Array.to_list (Array.map (fun s -> Export.Str s.s_name) t.frozen)
-  in
+  let width = Array.length t.sources in
+  if List.exists (fun (_, row) -> Array.length row <> width) t.rows_rev then
+    invalid_arg
+      "Timeline.document: ragged rows (a series was registered after the \
+       first snapshot)";
   let rows =
     List.rev_map
       (fun (ts, row) ->
-        Export.Arr
-          (Export.Num ts
-          :: Array.to_list (Array.map (fun v -> Export.Num v) row)))
+        Json.Arr
+          (Json.Num ts :: Array.to_list (Array.map (fun v -> Json.Num v) row)))
       t.rows_rev
   in
-  Export.Obj
+  Json.Obj
     ([
-       ("schema", Export.Str schema_version);
-       ("interval_s", Export.Num (Time.to_sec_f t.interval));
-       ("series", Export.Arr series);
-       ("samples", Export.Arr rows);
+       ("schema", Json.Str schema_version);
+       ("interval_s", Json.Num (Time.to_sec_f t.interval));
+       ( "series",
+         Json.Arr
+           (Array.to_list (Array.map (fun s -> Json.Str s.s_name) t.sources)) );
+       ("samples", Json.Arr rows);
      ]
     @ extra)

@@ -272,7 +272,7 @@ val socket_drops : vnode -> int
 val fib_cache_stats : vnode -> int * int
 (** (hits, misses) of the vnode FIB's per-destination flow cache
     ({!Vini_click.Fib.cache_hits}); exported by
-    [Vini_measure.Monitor.watch_vnode]. *)
+    [Vini_measure.Timeline.watch_vnode]. *)
 
 val fib_memo_stats : vnode -> int * int
 (** (hits, lookups) of the batched path's same-destination FIB memo in

@@ -42,17 +42,17 @@ type t = {
   (* hop.(s) = the neighbour slot [s] leads to: [Graph.slot_target],
      kept here because every packet hop reads it. *)
   hop : int array;
-  mask_failures : bool;
   (* nh.(from * n + dst) = the slot out of [from] on the current shortest
      path to [dst], or -1 when there is none ([from = dst], or
-     unreachable).  Ignores link state: under exposure a route through a
-     cut link stands.  Refilled in place by [recompute_routes]. *)
+     unreachable).  Ignores link state: where a cut link is the only path
+     left the route through it stands.  Refilled in place by
+     [recompute_routes]. *)
   nh : int array;
   (* fwd.(dst * n + from) = nh's (from, dst) slot when its link is up,
      else -1 (the packet would blackhole): the packet path's one load.
      Destination-major, the transpose of [nh]: every hop of one packet or
      fluid flow reads the same row [dst].  Refilled in place on every
-     route recomputation and link-state flip. *)
+     route recomputation, which every link or node flip triggers. *)
   fwd : int array;
   spf : spf;
   mutable subscribers : (event -> unit) list;
@@ -82,16 +82,6 @@ let rec resolve graph nh prev base src v =
     nh.(base + v) <- s;
     s
   end
-
-let rebuild_fwd t =
-  let n = Array.length t.pnodes in
-  for dst = 0 to n - 1 do
-    let row = dst * n in
-    for from = 0 to n - 1 do
-      let s = t.nh.((from * n) + dst) in
-      t.fwd.(row + from) <- (if s >= 0 && Plink.is_up t.plinks.(s) then s else -1)
-    done
-  done
 
 (* Per-packet destination resolve: the node id is the address's offset
    from [addr_base], or -1 for an address that names no node. *)
@@ -125,11 +115,18 @@ let recompute_routes t =
       ignore (resolve g t.nh spf.prev base src v)
     done
   done;
-  rebuild_fwd t
+  (* The forwarding table: [nh]'s slot where its link is up. *)
+  for dst = 0 to n - 1 do
+    let row = dst * n in
+    for from = 0 to n - 1 do
+      let s = t.nh.((from * n) + dst) in
+      t.fwd.(row + from) <- (if s >= 0 && Plink.is_up t.plinks.(s) then s else -1)
+    done
+  done
 
 let rec create ~engine ~rng ~graph
     ?(profile = fun _ -> dedicated_profile ~speed_ghz:Calibration.reference_ghz)
-    ?(mask_failures = true) () =
+    () =
   let n = Graph.node_count graph in
   let pnodes =
     Array.init n (fun i ->
@@ -160,7 +157,6 @@ let rec create ~engine ~rng ~graph
       pnodes;
       plinks = Array.init slots (fun s -> snd links.(Graph.slot_link graph s));
       hop = Array.init slots (Graph.slot_target graph);
-      mask_failures;
       nh = Array.make (n * n) (-1);
       fwd = Array.make (n * n) (-1);
       spf =
@@ -250,9 +246,8 @@ let set_link_state t a b up =
   let plink = plink t a b in
   if Plink.is_up plink <> up then begin
     Plink.set_up plink up;
-    (* Masking reroutes (which rebuilds the forwarding cache); without
-       masking the routes stand but the cache must still see the flip. *)
-    if t.mask_failures then recompute_routes t else rebuild_fwd t;
+    (* Masking: reroute, which also rebuilds the forwarding table. *)
+    recompute_routes t;
     let ev = if up then Link_up (a, b) else Link_down (a, b) in
     List.iter (fun f -> f ev) t.subscribers
   end
@@ -265,8 +260,8 @@ let set_node_state t i up =
   if Pnode.is_up node <> up then begin
     if up then Pnode.reboot node else Pnode.crash node;
     (* Incident links become unusable/usable, so the underlay reroutes
-       around (or back through) the machine when masking failures. *)
-    if t.mask_failures then recompute_routes t;
+       around (or back through) the machine. *)
+    recompute_routes t;
     let ev = if up then Node_up i else Node_down i in
     List.iter (fun f -> f ev) t.subscribers
   end

@@ -2,16 +2,12 @@
 
     Instantiates a {!Vini_topo.Graph.t} as physical nodes and links, routes
     packets between public addresses with static shortest paths (the
-    underlying IP network), and models the two behaviours §3.1 contrasts:
-
-    - {b masking}: when a physical link fails the underlay recomputes
-      routes, hiding the failure from overlays (the default, and what the
-      real Internet does under PL-VINI);
-    - {b exposure}: with [mask_failures:false] routes are left alone and
-      traffic into the dead link blackholes.
-
-    Either way, topology changes are announced to subscribers — the
-    "upcalls of layer-3 alarms to virtual nodes" of Table 1. *)
+    underlying IP network), and masks failures as the real Internet does
+    under PL-VINI (§3.1): when a physical link or machine fails the
+    underlay recomputes routes around it, and traffic blackholes only
+    where no path is left.  Topology changes are also announced to
+    subscribers — the "upcalls of layer-3 alarms to virtual nodes" of
+    Table 1, which let an overlay see what the underlay hides. *)
 
 type t
 
@@ -31,7 +27,6 @@ val create :
   rng:Vini_std.Rng.t ->
   graph:Vini_topo.Graph.t ->
   ?profile:(Vini_topo.Graph.node_id -> node_profile) ->
-  ?mask_failures:bool ->
   unit ->
   t
 (** Default profile: dedicated 2.8 GHz nodes.  Node [i] gets address
@@ -49,8 +44,7 @@ val plink : t -> Vini_topo.Graph.node_id -> Vini_topo.Graph.node_id -> Plink.t
 
 val set_link_state :
   t -> Vini_topo.Graph.node_id -> Vini_topo.Graph.node_id -> bool -> unit
-(** Fail or restore a physical link; triggers rerouting (when masking) and
-    upcalls.  A reroute recomputes every source's tree: one int-array
+(** Fail or restore a physical link; triggers rerouting and upcalls.  A reroute recomputes every source's tree: one int-array
     Dijkstra per node over per-slot weights computed once, allocating
     nothing (2.4–4.2 ms for 200 PoPs on a 2-vCPU VM). *)
 
@@ -58,7 +52,7 @@ val link_is_up : t -> Vini_topo.Graph.node_id -> Vini_topo.Graph.node_id -> bool
 
 val set_node_state : t -> Vini_topo.Graph.node_id -> bool -> unit
 (** Crash ([false]) or reboot ([true]) a physical machine: {!Pnode.crash} /
-    {!Pnode.reboot}, rerouting around it (when masking) and an upcall.
+    {!Pnode.reboot}, rerouting around it and an upcall.
     Crashing kills every process attached to the node; rebooting does not
     restart them — that is the {!Supervisor}'s job. *)
 
@@ -72,8 +66,9 @@ val next_hop :
   Vini_topo.Graph.node_id option
 (** Current underlay routing decision: the next hop on the shortest path
     from [from] to [dst], [None] when [from = dst] or [dst] is
-    unreachable.  It ignores link state, so under exposure a route through
-    a cut link stands.  Reads the flat next-hop table, rebuilt on every
+    unreachable.  It ignores link state, so where a cut link is the only
+    path left the route through it stands ({!forward_slot} reports the
+    blackhole).  Reads the flat next-hop table, rebuilt on every
     reroute: a range check and two array loads, plus the [Some] it
     allocates.
     @raise Invalid_argument when a node id is out of range. *)

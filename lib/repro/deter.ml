@@ -134,62 +134,72 @@ let iias_ping ?(count = 10_000) ?(seed = 4001) () =
   Engine.run ~until:(Time.sec 400) engine;
   ping_result_of p
 
-(* ---- The instrumented observability run (vini deter --metrics-out) ---- *)
+(* ---- The instrumented replays (vini deter --metrics-out, --spans-out,
+   --timeline-out) ------------------------------------------------------- *)
 
 module Trace = Vini_sim.Trace
-module Monitor = Vini_measure.Monitor
 module Export = Vini_measure.Export
+module Timeline = Vini_measure.Timeline
 module Tcp = Vini_transport.Tcp
 
-let observability_run ?(duration_s = 2) ?(seed = 7001)
-    ?(trace_categories = Trace.Category.all) () =
+(* The scaffold the three replays share: converge the overlay to 25 s,
+   then drive one bulk TCP transfer from src to sink for [duration_s] so
+   the engine, Click elements, CPU schedulers and TCP all see load.
+   [instrument] runs on the fresh overlay and returns its sampler, a hook
+   run once the transfer is under way, and the exporter, which runs once
+   the sampler has stopped and gets the fields every document carries. *)
+let instrumented_run ~duration_s ~seed ~scenario instrument =
   let engine, underlay, iias = make_overlay ~seed () in
-  Engine.set_profiling engine true;
-  let trace = Trace.create ~capacity:8192 ~categories:trace_categories () in
-  Trace.install trace;
-  let monitor = Vini_measure.Monitor.create ~engine ~interval:(Time.ms 200) () in
-  Monitor.watch_engine monitor engine;
+  let sampler, on_send, export = instrument engine underlay iias in
   let v_src = Iias.vnode iias Datasets.Deter.src in
   let v_sink = Iias.vnode iias Datasets.Deter.sink in
-  let v_fwdr = Iias.vnode iias Datasets.Deter.fwdr in
-  Monitor.watch_vnode monitor v_fwdr ~prefix:"click.fwdr";
-  Monitor.watch_vnode monitor v_sink ~prefix:"click.sink";
-  let fwdr_node = Underlay.node underlay Datasets.Deter.fwdr in
-  Monitor.watch_cpu monitor ~prefix:"phys.fwdr" (Pnode.cpu fwdr_node);
-  Monitor.counter monitor ~name:"phys.fwdr.kernel_cpu_s" (fun () ->
-      Time.to_sec_f (Pnode.kernel_cpu_time fwdr_node));
-  (* Converge, then drive one bulk TCP transfer across the overlay so the
-     engine, Click elements, CPU schedulers and TCP all see load. *)
   Engine.run ~until:(Time.sec 25) engine;
   Tcp.listen ~stack:(Iias.tap v_sink) ~port:5001 ~on_accept:(fun _ -> ()) ();
   let conn =
     Tcp.connect ~stack:(Iias.tap v_src) ~dst:(Iias.tap_addr v_sink)
       ~dst_port:5001 ()
   in
-  Monitor.watch_tcp monitor ~prefix:"tcp.src" conn;
   Tcp.send_forever conn;
+  on_send conn;
   Engine.run ~until:(Time.sec (25 + duration_s)) engine;
-  Monitor.stop monitor;
-  Trace.uninstall ();
-  let stats = Tcp.stats conn in
+  Timeline.stop sampler;
   let mbps =
-    float_of_int stats.Tcp.bytes_acked *. 8.0
+    float_of_int (Tcp.stats conn).Tcp.bytes_acked *. 8.0
     /. (float_of_int duration_s *. 1e6)
   in
-  let doc =
-    Export.document ~trace
-      ~extra:
-        [
-          ("scenario", Export.Str "deter-iias-tcp");
-          ("duration_s", Export.Num (float_of_int duration_s));
-          ("seed", Export.Num (float_of_int seed));
-          ("tcp_mbps", Export.Num mbps);
-        ]
-      [ monitor ]
-  in
-  (doc, mbps)
+  ( export
+      [
+        ("scenario", Export.Str scenario);
+        ("duration_s", Export.Num (float_of_int duration_s));
+        ("seed", Export.Num (float_of_int seed));
+        ("tcp_mbps", Export.Num mbps);
+      ],
+    mbps )
 
-(* ---- The flight-recorder run (CI's spans artifact) --------------------- *)
+let observability_run ?(duration_s = 2) ?(seed = 7001)
+    ?(trace_categories = Trace.Category.all) () =
+  instrumented_run ~duration_s ~seed ~scenario:"deter-iias-tcp"
+    (fun engine underlay iias ->
+      Engine.set_profiling engine true;
+      let trace = Trace.create ~capacity:8192 ~categories:trace_categories () in
+      Trace.install trace;
+      let sampler = Timeline.create ~engine ~interval:(Time.ms 200) () in
+      Timeline.watch_engine sampler engine;
+      Timeline.watch_vnode sampler (Iias.vnode iias Datasets.Deter.fwdr)
+        ~prefix:"click.fwdr";
+      Timeline.watch_vnode sampler (Iias.vnode iias Datasets.Deter.sink)
+        ~prefix:"click.sink";
+      let fwdr_node = Underlay.node underlay Datasets.Deter.fwdr in
+      Timeline.watch_cpu sampler ~prefix:"phys.fwdr" (Pnode.cpu fwdr_node);
+      Timeline.counter sampler ~name:"phys.fwdr.kernel_cpu_s" (fun () ->
+          Time.to_sec_f (Pnode.kernel_cpu_time fwdr_node));
+      (* The sender's series join the sampler once the connection exists,
+         so they hold only the transfer window's snapshots. *)
+      ( sampler,
+        Timeline.watch_tcp sampler ~prefix:"tcp.src",
+        fun extra ->
+          Trace.uninstall ();
+          Export.document ~trace ~extra sampler ))
 
 module Packet = Vini_net.Packet
 module Ipstack = Vini_phys.Ipstack
@@ -199,65 +209,46 @@ module Mspan = Vini_measure.Span
 (* A quarter of the recorder's default ring: plenty for the traffic
    window's trees while keeping the JSON artifact CI-friendly. *)
 let spans_run ?(duration_s = 2) ?(seed = 7001) () =
-  let engine, _underlay, iias = make_overlay ~seed () in
-  (* Installing the recorder before convergence means even
-     routing-protocol chatter gets causal trees. *)
-  let recorder = Sspan.create ~capacity:65_536 () in
-  Sspan.install recorder;
-  let monitor = Monitor.create ~engine ~interval:(Time.ms 200) () in
-  Mspan.watch monitor ~prefix:"spans" recorder;
-  let v_src = Iias.vnode iias Datasets.Deter.src in
-  let v_sink = Iias.vnode iias Datasets.Deter.sink in
-  Engine.run ~until:(Time.sec 25) engine;
-  Tcp.listen ~stack:(Iias.tap v_sink) ~port:5001 ~on_accept:(fun _ -> ()) ();
-  let conn =
-    Tcp.connect ~stack:(Iias.tap v_src) ~dst:(Iias.tap_addr v_sink)
-      ~dst_port:5001 ()
-  in
-  Tcp.send_forever conn;
-  (* TTL-limited probes guarantee the artifact exercises drop forensics:
-     each dies mid-path with a recorded path-so-far.  They go in near the
-     end of the window so bulk-TCP records can't wrap the ring past them
-     before the export. *)
-  ignore
-    (Engine.at engine
-       (Time.sub (Time.sec (25 + duration_s)) (Time.ms 100))
-       (fun () ->
-         for i = 0 to 3 do
-           Ipstack.send (Iias.tap v_src)
-             (Packet.udp ~ttl:1 ~src:(Iias.tap_addr v_src)
-                ~dst:(Iias.tap_addr v_sink) ~sport:40000 ~dport:40001
-                (Packet.Probe
-                   { Packet.flow = 9; seq = i; sent_ns = 0; pad = 32 }))
-         done));
-  Engine.run ~until:(Time.sec (25 + duration_s)) engine;
-  Monitor.stop monitor;
-  let trees = Mspan.trees recorder in
-  Mspan.register_breakdown monitor ~prefix:"spans" trees;
-  Sspan.uninstall ();
-  let stats = Tcp.stats conn in
-  let mbps =
-    float_of_int stats.Tcp.bytes_acked *. 8.0
-    /. (float_of_int duration_s *. 1e6)
-  in
-  let doc =
-    Export.spans_document
-      ~extra:
-        [
-          ("scenario", Export.Str "deter-iias-tcp-spans");
-          ("duration_s", Export.Num (float_of_int duration_s));
-          ("seed", Export.Num (float_of_int seed));
-          ("tcp_mbps", Export.Num mbps);
-          ("metrics", Export.document [ monitor ]);
-        ]
-      recorder
-  in
-  (doc, mbps)
+  instrumented_run ~duration_s ~seed ~scenario:"deter-iias-tcp-spans"
+    (fun engine _underlay iias ->
+      (* Installing the recorder before convergence means even
+         routing-protocol chatter gets causal trees. *)
+      let recorder = Sspan.create ~capacity:65_536 () in
+      Sspan.install recorder;
+      let sampler = Timeline.create ~engine ~interval:(Time.ms 200) () in
+      Timeline.watch_recorder sampler ~prefix:"spans" recorder;
+      let v_src = Iias.vnode iias Datasets.Deter.src in
+      let v_sink = Iias.vnode iias Datasets.Deter.sink in
+      (* TTL-limited probes guarantee the artifact exercises drop
+         forensics: each dies mid-path with a recorded path-so-far.  They
+         go in near the end of the window so bulk-TCP records can't wrap
+         the ring past them before the export. *)
+      let probes _conn =
+        ignore
+          (Engine.at engine
+             (Time.sub (Time.sec (25 + duration_s)) (Time.ms 100))
+             (fun () ->
+               for i = 0 to 3 do
+                 Ipstack.send (Iias.tap v_src)
+                   (Packet.udp ~ttl:1 ~src:(Iias.tap_addr v_src)
+                      ~dst:(Iias.tap_addr v_sink) ~sport:40000 ~dport:40001
+                      (Packet.Probe
+                         { Packet.flow = 9; seq = i; sent_ns = 0; pad = 32 }))
+               done))
+      in
+      ( sampler,
+        probes,
+        fun extra ->
+          Timeline.register_breakdown sampler ~prefix:"spans"
+            (Mspan.trees recorder);
+          Sspan.uninstall ();
+          Export.spans_document
+            ~extra:(extra @ [ ("metrics", Export.document sampler) ])
+            recorder ))
 
 (* ---- The timeline run (CI's vini.timeline/1 artifact) ------------------ *)
 
 module Profile = Vini_sim.Profile
-module Timeline = Vini_measure.Timeline
 module Pool = Vini_net.Pool
 module Ring = Vini_click.Ring
 module Batch = Vini_click.Batch
@@ -322,48 +313,25 @@ let dp_loop engine ~until =
   (pool, ring)
 
 let timeline_run ?(duration_s = 2) ?(seed = 7001) ?(interval_ms = 200) () =
-  let engine, _underlay, iias = make_overlay ~seed () in
-  let profile = Profile.create () in
-  Profile.install profile;
-  let timeline =
-    Timeline.create ~engine ~interval:(Time.ms interval_ms) ()
-  in
-  Timeline.watch_engine timeline engine;
-  Timeline.watch_profile timeline profile;
-  Timeline.watch_overlay timeline iias;
-  let v_src = Iias.vnode iias Datasets.Deter.src in
-  let v_sink = Iias.vnode iias Datasets.Deter.sink in
-  let v_fwdr = Iias.vnode iias Datasets.Deter.fwdr in
-  Timeline.watch_process timeline ~prefix:"click.fwdr"
-    (Iias.process v_fwdr);
-  let stop_at = Time.sec (25 + duration_s) in
-  let pool, ring = dp_loop engine ~until:stop_at in
-  Timeline.watch_pool timeline ~prefix:"dp.pool" pool;
-  Timeline.watch_ring timeline ~prefix:"dp.ring" ring;
-  Engine.run ~until:(Time.sec 25) engine;
-  Tcp.listen ~stack:(Iias.tap v_sink) ~port:5001 ~on_accept:(fun _ -> ()) ();
-  let conn =
-    Tcp.connect ~stack:(Iias.tap v_src) ~dst:(Iias.tap_addr v_sink)
-      ~dst_port:5001 ()
-  in
-  Tcp.send_forever conn;
-  Engine.run ~until:stop_at engine;
-  Timeline.stop timeline;
-  Profile.uninstall ();
-  let stats = Tcp.stats conn in
-  let mbps =
-    float_of_int stats.Tcp.bytes_acked *. 8.0
-    /. (float_of_int duration_s *. 1e6)
-  in
-  let doc =
-    Timeline.document
-      ~extra:
-        [
-          ("scenario", Export.Str "deter-iias-tcp-timeline");
-          ("duration_s", Export.Num (float_of_int duration_s));
-          ("seed", Export.Num (float_of_int seed));
-          ("tcp_mbps", Export.Num mbps);
-        ]
-      timeline
-  in
-  (doc, mbps)
+  instrumented_run ~duration_s ~seed ~scenario:"deter-iias-tcp-timeline"
+    (fun engine _underlay iias ->
+      let profile = Profile.create () in
+      Profile.install profile;
+      let sampler =
+        Timeline.create ~engine ~interval:(Time.ms interval_ms) ()
+      in
+      Timeline.watch_engine sampler engine;
+      Timeline.watch_profile sampler profile;
+      Timeline.watch_overlay sampler iias;
+      Timeline.watch_process sampler ~prefix:"click.fwdr"
+        (Iias.process (Iias.vnode iias Datasets.Deter.fwdr));
+      let pool, ring =
+        dp_loop engine ~until:(Time.sec (25 + duration_s))
+      in
+      Timeline.watch_pool sampler ~prefix:"dp.pool" pool;
+      Timeline.watch_ring sampler ~prefix:"dp.ring" ring;
+      ( sampler,
+        ignore,
+        fun extra ->
+          Profile.uninstall ();
+          Timeline.document ~extra sampler ))

@@ -33,9 +33,9 @@ val observability_run :
   Vini_measure.Export.json * float
 (** One fully-instrumented IIAS TCP run on the DETER chain: engine
     profiling on, an 8192-event trace sink installed (default: all
-    categories), and a metrics registry watching the engine, the
-    forwarder's Click counters, the physical CPU scheduler and the TCP
-    sender.  Returns the
+    categories), and a {!Vini_measure.Timeline} sampler watching the
+    engine, the forwarder's Click counters, the physical CPU scheduler
+    and, from the connection's start, the TCP sender.  Returns the
     [vini.metrics/1] export document (what [vini deter --metrics-out]
     writes; CI keeps it as [BENCH_METRICS.json]) and the measured
     throughput in Mb/s. *)

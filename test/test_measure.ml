@@ -124,61 +124,45 @@ let test_tcpdump_capture () =
   check Alcotest.bool "ids vary across packets" true
     (List.sort_uniq compare ids |> List.length > 1)
 
-let test_monitor_sampling_and_rate () =
+module Timeline = Vini_measure.Timeline
+
+let test_sampler_sampling () =
   let engine = Engine.create () in
-  let m = Vini_measure.Monitor.create ~engine ~interval:(Time.ms 100) () in
+  let m = Timeline.create ~engine ~interval:(Time.ms 100) () in
   let counter = ref 0.0 in
-  Vini_measure.Monitor.gauge m ~name:"counter" (fun () -> !counter);
+  Timeline.gauge m ~name:"counter" (fun () -> !counter);
   (* The counter grows 10 units per second. *)
   Engine.every engine (Time.ms 10) (fun () ->
       counter := !counter +. 0.1;
       Time.compare (Engine.now engine) (Time.sec 5) < 0);
   Engine.run ~until:(Time.sec 3) engine;
-  Vini_measure.Monitor.stop m;
+  Timeline.stop m;
   Engine.run ~until:(Time.sec 4) engine;
-  let s = Vini_measure.Monitor.series m ~name:"counter" in
-  check Alcotest.bool
-    (Printf.sprintf "~30 samples (%d)" (List.length s))
-    true
-    (List.length s >= 28 && List.length s <= 31);
-  let rates = Vini_measure.Monitor.rate m ~name:"counter" in
-  List.iter
-    (fun (_, r) ->
-      check Alcotest.bool (Printf.sprintf "rate ~10/s (%.2f)" r) true
-        (r > 8.0 && r < 12.0))
-    rates;
-  check Alcotest.(list string) "names" [ "counter" ]
-    (Vini_measure.Monitor.names m)
+  match Timeline.series m with
+  | [ (name, Timeline.Gauge, s) ] ->
+      check Alcotest.string "name" "counter" name;
+      check Alcotest.int "one point per 100 ms until stop" 30 (List.length s);
+      List.iteri
+        (fun i (t, v) ->
+          check (Alcotest.float 1e-9) "sampled on the sim clock"
+            (0.1 *. float_of_int (i + 1)) t;
+          check Alcotest.bool (Printf.sprintf "value tracks 10/s (%.2f)" v)
+            true (Float.abs (v -. (10.0 *. t)) < 0.15))
+        s
+  | _ -> Alcotest.fail "expected the one gauge"
 
-let test_monitor_duplicate_gauge () =
+let test_sampler_duplicate_names () =
   let engine = Engine.create () in
-  let m = Vini_measure.Monitor.create ~engine () in
-  Vini_measure.Monitor.gauge m ~name:"x" (fun () -> 0.0);
-  Alcotest.check_raises "duplicate" (Invalid_argument "Monitor.gauge: duplicate name")
-    (fun () -> Vini_measure.Monitor.gauge m ~name:"x" (fun () -> 0.0))
-
-let test_monitor_counter_reset () =
-  (* A counter that restarts mid-run (a process died and came back) must
-     not produce negative rates: the post-reset increase is the new value. *)
-  let engine = Engine.create () in
-  let m = Vini_measure.Monitor.create ~engine ~interval:(Time.sec 1) () in
-  let v = ref 0.0 in
-  Vini_measure.Monitor.counter m ~name:"c" (fun () -> !v);
-  Engine.every engine (Time.sec 1) (fun () ->
-      (* 10, 20, 30, 5, 15, 25: a reset to 5 between t=3 and t=4. *)
-      v := (if !v >= 30.0 then 5.0 else !v +. 10.0);
-      Time.compare (Engine.now engine) (Time.sec 8) < 0);
-  Engine.run ~until:(Time.sec 7) engine;
-  Vini_measure.Monitor.stop m;
-  check Alcotest.bool "declared counter" true
-    (Vini_measure.Monitor.kind m ~name:"c" = Vini_measure.Monitor.Counter);
-  let rates = Vini_measure.Monitor.rate m ~name:"c" in
-  check Alcotest.bool "some rates" true (List.length rates >= 4);
-  List.iter
-    (fun (t, r) ->
-      check Alcotest.bool (Printf.sprintf "rate at %.1f non-negative (%g)" t r)
-        true (r >= 0.0))
-    rates
+  let m = Timeline.create ~engine () in
+  Timeline.gauge m ~name:"x" (fun () -> 0.0);
+  Alcotest.check_raises "series names are one namespace across kinds"
+    (Invalid_argument "Timeline: duplicate series x")
+    (fun () -> Timeline.counter m ~name:"x" (fun () -> 0.0));
+  let h = Vini_std.Histogram.create () in
+  Timeline.histogram m ~name:"x" h;
+  Alcotest.check_raises "duplicate histogram"
+    (Invalid_argument "Timeline: duplicate histogram x")
+    (fun () -> Timeline.histogram m ~name:"x" h)
 
 (* --- export ------------------------------------------------------------- *)
 
@@ -210,13 +194,13 @@ let test_export_json_roundtrip () =
 
 let test_export_document_roundtrip () =
   let engine = Engine.create () in
-  let m = Vini_measure.Monitor.create ~engine ~interval:(Time.ms 500) () in
+  let m = Timeline.create ~engine ~interval:(Time.ms 500) () in
   let v = ref 0.0 in
-  Vini_measure.Monitor.counter m ~name:"bytes" (fun () -> !v);
-  Vini_measure.Monitor.gauge m ~name:"depth" (fun () -> 3.0);
+  Timeline.counter m ~name:"bytes" (fun () -> !v);
+  Timeline.gauge m ~name:"depth" (fun () -> 3.0);
   let h = Vini_std.Histogram.create () in
   List.iter (Vini_std.Histogram.add h) [ 0.001; 0.002; 0.004; 0.008 ];
-  Vini_measure.Monitor.histogram m ~name:"lat_s" h;
+  Timeline.histogram m ~name:"lat_s" h;
   let tr = STrace.create ~capacity:16 () in
   STrace.install tr;
   Engine.every engine (Time.ms 250) (fun () ->
@@ -224,9 +208,9 @@ let test_export_document_roundtrip () =
       STrace.emit ~component:"t.q" (STrace.Packet_drop { reason = "x,y\"z"; bytes = 40 });
       Time.compare (Engine.now engine) (Time.sec 3) < 0);
   Engine.run ~until:(Time.sec 2) engine;
-  Vini_measure.Monitor.stop m;
+  Timeline.stop m;
   STrace.uninstall ();
-  let doc = Export.document ~trace:tr [ m ] in
+  let doc = Export.document ~trace:tr m in
   let text = Export.to_string doc in
   match Export.of_string text with
   | Error e -> Alcotest.failf "document does not parse: %s" e
@@ -261,6 +245,76 @@ let test_export_document_roundtrip () =
       let ev = List.hd events in
       check Alcotest.string "reason survives escaping" "x,y\"z"
         (Option.get (Export.to_str (get "reason" ev)))
+
+(* A series registered after sampling started joins at the next
+   snapshot: its per-series read and its vini.metrics/1 points start
+   there, every series keeps its kind, and the vini.timeline/1 document,
+   whose rows must be rectangular, refuses the short early rows. *)
+let test_sampler_late_series () =
+  let engine = Engine.create () in
+  let m = Timeline.create ~engine ~interval:(Time.ms 100) () in
+  Timeline.gauge m ~name:"early" (fun () -> 1.0);
+  Engine.run ~until:(Time.ms 250) engine;
+  Timeline.counter m ~name:"late" (fun () -> 2.0);
+  Engine.run ~until:(Time.ms 450) engine;
+  check Alcotest.int "four snapshots" 4 (Timeline.nsamples m);
+  let times pts = List.map fst pts in
+  (match Timeline.series m with
+  | [ ("early", Timeline.Gauge, e); ("late", Timeline.Counter, l) ] ->
+      check Alcotest.(list (float 1e-9)) "early: every snapshot"
+        [ 0.1; 0.2; 0.3; 0.4 ] (times e);
+      check Alcotest.(list (float 1e-9)) "late: from the next snapshot"
+        [ 0.3; 0.4 ] (times l)
+  | _ -> Alcotest.fail "expected early (gauge) then late (counter)");
+  let get k j = Option.get (Export.member k j) in
+  let series = Option.get (Export.to_list (get "series" (Export.document m))) in
+  let row s =
+    ( Option.get (Export.to_str (get "name" s)),
+      Option.get (Export.to_str (get "kind" s)),
+      List.map
+        (fun p ->
+          match Export.to_list p with
+          | Some [ t; _ ] -> Option.get (Export.to_float t)
+          | _ -> Alcotest.fail "point is not [t, v]")
+        (Option.get (Export.to_list (get "points" s))) )
+  in
+  check
+    Alcotest.(list (triple string string (list (float 1e-9))))
+    "metrics document: kinds and points"
+    [ ("early", "gauge", [ 0.1; 0.2; 0.3; 0.4 ]); ("late", "counter", [ 0.3; 0.4 ]) ]
+    (List.map row series);
+  Alcotest.check_raises "ragged timeline rows"
+    (Invalid_argument
+       "Timeline.document: ragged rows (a series was registered after the \
+        first snapshot)")
+    (fun () -> ignore (Timeline.document m))
+
+(* The replay that needs late registration: the TCP sender's series
+   join once the connection exists at t = 25 s, so over a 1 s window they
+   hold the window's 5 snapshots while the engine's hold all 130. *)
+let test_sampler_late_series_in_deter () =
+  let doc, _ = Vini_repro.Deter.observability_run ~duration_s:1 () in
+  let get k j = Option.get (Export.member k j) in
+  let series = Option.get (Export.to_list (get "series" doc)) in
+  let find name =
+    List.find
+      (fun s -> Export.to_str (get "name" s) = Some name)
+      series
+  in
+  let times name =
+    List.map
+      (fun p ->
+        match Export.to_list p with
+        | Some [ t; _ ] -> Option.get (Export.to_float t)
+        | _ -> Alcotest.fail "point is not [t, v]")
+      (Option.get (Export.to_list (get "points" (find name))))
+  in
+  check Alcotest.int "engine.fired: every snapshot" 130
+    (List.length (times "engine.fired"));
+  check Alcotest.(list (float 1e-9)) "tcp.src.bytes_acked: the window"
+    [ 25.2; 25.4; 25.6; 25.8; 26.0 ] (times "tcp.src.bytes_acked");
+  check Alcotest.(option string) "kind kept" (Some "counter")
+    (Export.to_str (get "kind" (find "tcp.src.bytes_acked")))
 
 (* --- export edge cases --------------------------------------------------- *)
 
@@ -436,9 +490,12 @@ let suite =
     Alcotest.test_case "iperf tcp window maths" `Quick test_iperf_tcp_measures_window;
     Alcotest.test_case "iperf udp loss+jitter" `Quick test_iperf_udp_loss_and_jitter;
     Alcotest.test_case "tcpdump capture" `Quick test_tcpdump_capture;
-    Alcotest.test_case "monitor sampling and rate" `Quick test_monitor_sampling_and_rate;
-    Alcotest.test_case "monitor duplicate gauge" `Quick test_monitor_duplicate_gauge;
-    Alcotest.test_case "monitor counter reset" `Quick test_monitor_counter_reset;
+    Alcotest.test_case "sampler sampling" `Quick test_sampler_sampling;
+    Alcotest.test_case "sampler duplicate names" `Quick
+      test_sampler_duplicate_names;
+    Alcotest.test_case "sampler late series" `Quick test_sampler_late_series;
+    Alcotest.test_case "sampler late series in the DETER replay" `Quick
+      test_sampler_late_series_in_deter;
     Alcotest.test_case "export json roundtrip" `Quick test_export_json_roundtrip;
     Alcotest.test_case "export document roundtrip" `Quick
       test_export_document_roundtrip;

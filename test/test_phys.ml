@@ -287,7 +287,7 @@ let test_ipstack_ephemeral_ports_unique () =
 
 (* --- underlay ------------------------------------------------------------ *)
 
-let chain ?(mask_failures = true) ~engine () =
+let chain ~engine () =
   let link a b =
     { Graph.a; b; bandwidth_bps = 1e9; delay = Time.ms 1; loss = 0.0; weight = 1 }
   in
@@ -295,7 +295,7 @@ let chain ?(mask_failures = true) ~engine () =
     Graph.create ~names:[| "n0"; "n1"; "n2"; "n3" |]
       ~links:[ link 0 1; link 1 2; link 2 3; link 0 3 ]
   in
-  Underlay.create ~engine ~rng:(rng 20) ~graph:g ~mask_failures ()
+  Underlay.create ~engine ~rng:(rng 20) ~graph:g ()
 
 let test_underlay_end_to_end () =
   let engine = Engine.create () in
@@ -319,22 +319,6 @@ let test_underlay_next_hop_and_reroute () =
   check Alcotest.(option int) "rerouted via 3" (Some 3)
     (Underlay.next_hop u ~from:0 ~dst:2)
 
-let test_underlay_exposed_failure_blackholes () =
-  let engine = Engine.create () in
-  let u = chain ~mask_failures:false ~engine () in
-  let n0 = Underlay.node u 0 in
-  let before = Underlay.blackholed u in
-  let original = Underlay.next_hop u ~from:0 ~dst:2 in
-  (* Fail whichever link the route uses; without masking the route stays. *)
-  (match original with
-  | Some nh -> Underlay.set_link_state u 0 nh false
-  | None -> Alcotest.fail "expected a route");
-  Pnode.send n0
-    (Packet.udp ~src:(Pnode.addr n0) ~dst:(Underlay.addr u 2) ~sport:1
-       ~dport:5000 (Packet.Bytes_ 100));
-  Engine.run engine;
-  check Alcotest.bool "blackholed" true (Underlay.blackholed u > before)
-
 let test_underlay_upcalls () =
   let engine = Engine.create () in
   let u = chain ~engine () in
@@ -352,8 +336,7 @@ let test_underlay_upcalls () =
 (* The next-hop table against an oracle: the prev-chain walk over
    [Test_topo.oracle_spf]'s tree (Bellman-Ford, lowest-parent ties; no
    code shared with the Dijkstra the tables come from) with the weights
-   the underlay routes on — link and end-node state when masking, the
-   creation-time weights when not (an exposed underlay never reroutes).
+   the underlay routes on, which follow link and end-node state.
    The forwarding table must send a packet on exactly when that next hop
    exists and its link is up, by the slot [Graph.find_slot] gives that
    hop. *)
@@ -371,14 +354,14 @@ let prop_next_hop_table =
     ~count:60
     QCheck.(
       pair
-        (triple bool bool (int_range 2 30))
+        (pair bool (int_range 2 30))
         (pair (int_bound 10_000) (small_list (triple bool small_nat bool))))
-    (fun ((waxman, mask_failures, n), (seed, flips)) ->
+    (fun ((waxman, n), (seed, flips)) ->
       let module Generate = Vini_scenario.Generate in
       let kind = if waxman then Generate.waxman n else Generate.backbone n in
       let graph = Generate.generate { Generate.kind; seed } in
       let engine = Engine.create ~seed () in
-      let u = Underlay.create ~engine ~rng:(rng seed) ~graph ~mask_failures () in
+      let u = Underlay.create ~engine ~rng:(rng seed) ~graph () in
       let links = Array.of_list (Graph.links graph) in
       List.iter
         (fun (node, i, up) ->
@@ -392,7 +375,7 @@ let prop_next_hop_table =
           Plink.is_up (Underlay.plink u l.a l.b)
           && Underlay.node_is_up u l.a && Underlay.node_is_up u l.b
         in
-        if up || not mask_failures then l.weight else 100_000_000
+        if up then l.weight else 100_000_000
       in
       List.for_all
         (fun from ->
@@ -809,7 +792,6 @@ let suite =
     Alcotest.test_case "ipstack ephemeral ports" `Quick test_ipstack_ephemeral_ports_unique;
     Alcotest.test_case "underlay end to end" `Quick test_underlay_end_to_end;
     Alcotest.test_case "underlay reroute (masking)" `Quick test_underlay_next_hop_and_reroute;
-    Alcotest.test_case "underlay exposure blackholes" `Quick test_underlay_exposed_failure_blackholes;
     Alcotest.test_case "underlay upcalls" `Quick test_underlay_upcalls;
     QCheck_alcotest.to_alcotest prop_next_hop_table;
     Alcotest.test_case "underlay ttl expiry" `Quick test_underlay_ttl_expiry;

@@ -123,20 +123,16 @@ let test_timeline_roundtrip_escaping () =
     ]
   in
   List.iter
-    (fun name -> Timeline.register tl ~name (fun () -> !v))
+    (fun name -> Timeline.gauge tl ~name (fun () -> !v))
     names;
   (* Duplicate registration is rejected. *)
   Alcotest.check_raises "duplicate name"
-    (Invalid_argument "Timeline.register: duplicate series plain.series")
-    (fun () -> Timeline.register tl ~name:"plain.series" (fun () -> 0.0));
+    (Invalid_argument "Timeline: duplicate series plain.series")
+    (fun () -> Timeline.gauge tl ~name:"plain.series" (fun () -> 0.0));
   ignore
     (Engine.at engine (Time.ms 150) (fun () -> v := 1.5));
   Engine.run ~until:(Time.ms 450) engine;
   check Alcotest.int "four snapshots" 4 (Timeline.nsamples tl);
-  (* Frozen after the first snapshot. *)
-  Alcotest.check_raises "frozen"
-    (Invalid_argument "Timeline.register: sampling already started")
-    (fun () -> Timeline.register tl ~name:"late" (fun () -> 0.0));
   let doc = Timeline.document tl in
   let text = Export.to_string doc in
   (match Export.of_string text with
@@ -163,11 +159,11 @@ let test_timeline_roundtrip_escaping () =
   | Error e -> Alcotest.failf "parse error: %s" e);
   (* Values sampled on the sim clock: the mutation at 150 ms lands in
      snapshot 2 (t = 200 ms) and later, not in snapshot 1. *)
-  match Timeline.samples tl with
-  | (t1, r1) :: (_, r2) :: _ ->
+  match Timeline.series tl with
+  | (_, _, (t1, v1) :: (_, v2) :: _) :: _ ->
       check (Alcotest.float 1e-9) "first snapshot at 100 ms" 0.1 t1;
-      check (Alcotest.float 1e-9) "before mutation" 0.0 r1.(0);
-      check (Alcotest.float 1e-9) "after mutation" 1.5 r2.(0)
+      check (Alcotest.float 1e-9) "before mutation" 0.0 v1;
+      check (Alcotest.float 1e-9) "after mutation" 1.5 v2
   | _ -> Alcotest.fail "expected snapshots"
 
 (* --- timeline: byte identity per seed ------------------------------------ *)
@@ -341,8 +337,11 @@ let test_spans_document_profile_sections () =
   Profile.clear_service_cost ();
   Profile.uninstall ();
   let recorder = Vini_sim.Span.create ~capacity:16 () in
-  let counters = [ ("c.one", [ (0.5, 1.0); (1.0, 2.0) ]) ] in
-  let doc = Export.spans_document ~profile:p ~counters recorder in
+  let engine = Engine.create () in
+  let timeline = Timeline.create ~engine ~interval:(Time.ms 500) () in
+  Timeline.counter timeline ~name:"c.one" (fun () -> 1.0);
+  Engine.run ~until:(Time.sec 1) engine;
+  let doc = Export.spans_document ~profile:p ~timeline recorder in
   let member k = Export.member k doc in
   (match Option.bind (member "element_profile") Export.to_list with
   | Some rows -> check Alcotest.int "element_profile rows" 1 (List.length rows)

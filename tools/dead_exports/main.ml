@@ -15,8 +15,8 @@ let kept =
   [ ("Calibration.syscall_us", "documents the paper's 5.1.1 syscall cost");
     ("Calibration.click_base_us", "documents the paper's 5.1.1 Click cost");
     ("Calibration.click_per_byte_us", "documents the paper's 5.1.1 Click cost");
-    ("Iias.create ?click_burst", "batched Click input; its fate is ROADMAP item 5's");
-    ("Iias.route_batch", "batched Click input; its fate is ROADMAP item 5's") ]
+    ("Iias.create ?click_burst", "batched Click input; its fate is ROADMAP item 10's");
+    ("Iias.route_batch", "batched Click input; its fate is ROADMAP item 10's") ]
 
 let () =
   match Dead_exports.check ~kept "_build/default" with
